@@ -822,6 +822,19 @@ func BenchmarkDeviceIO(b *testing.B) {
 	}
 }
 
+// BenchmarkSSDCellSetup measures what every local-SSD cell of a latency
+// grid pays before its first I/O: building the 16 GiB device and its FTL
+// tables, then a full sequential precondition. B/op is exact and does not
+// depend on the machine, so it pins the set-up's memory footprint.
+func BenchmarkSSDCellSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := profiles.NewSSD(sim.NewEngine(), sim.NewRNG(7, 7))
+		s.Precondition(1, false)
+	}
+	reportCells(b, 1)
+}
+
 // BenchmarkFleetScreen measures the two-fidelity screen: thousands of
 // analytically scored placements funneled into a handful of frontier
 // simulations. cells/sec counts the simulated frontier cells; the

@@ -62,6 +62,8 @@ const (
 	bufInflight uint8 = 2 // increment per in-flight copy
 )
 
+// unmapped is what ppnOf and lpnAt return for an absent entry. The tables
+// themselves store target+1, so their zero value means unmapped.
 const unmapped int32 = -1
 
 type frontier struct {
@@ -104,9 +106,10 @@ type FTL struct {
 	numSBs       int
 	userLPNs     int64
 
-	// Address state.
-	mapping  []int32 // LPN -> packed PPN (sb*slotsPerSB + slot)
-	rmap     []int32 // PPN -> LPN
+	// Address state. mapping and rmap hold target+1 so that a fresh make
+	// is an all-unmapped table; read them through ppnOf and lpnAt.
+	mapping  []int32 // LPN -> packed PPN (sb*slotsPerSB + slot) + 1
+	rmap     []int32 // PPN -> LPN + 1
 	sbValid  []int32
 	sbErases []int32
 	sbState  []uint8
@@ -115,16 +118,24 @@ type FTL struct {
 	host frontier
 	gc   frontier
 
-	// Write buffer.
+	// Write buffer. pendingFIFO is a ring of the admitted, not yet drained
+	// LPNs, oldest at pendHead. Each of them holds a page of bufUsed, so a
+	// ring of the buffer's page count never overflows. waiters is a FIFO
+	// from waitHead, reset to empty whenever its last entry pops.
 	bufState    []uint8 // per-LPN buffer flags
 	bufUsed     int64
 	pendingFIFO []int64
+	pendHead    int
+	pendLen     int
 	waiters     []waiter
+	waitHead    int
 	drainBusy   []int8 // in-flight program units per die
 	forceFlush  int    // outstanding flush requests
 	flushDone   []func()
 
 	gcActive bool
+
+	pageScratch []pageRead // distinct pages of one ReadList or gcMoveBatch call
 
 	counters Counters
 }
@@ -165,17 +176,12 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 		}
 		f.numSBs = need
 	}
-	if int64(f.numSBs)*int64(f.slotsPerSB) > int64(1)<<31 {
+	// rmap stores PPN+1, so the slot count itself must fit in an int32.
+	if int64(f.numSBs)*int64(f.slotsPerSB) >= int64(1)<<31 {
 		panic("ftl: physical slot space exceeds int32 packing")
 	}
 	f.mapping = make([]int32, f.userLPNs)
-	for i := range f.mapping {
-		f.mapping[i] = unmapped
-	}
 	f.rmap = make([]int32, f.numSBs*f.slotsPerSB)
-	for i := range f.rmap {
-		f.rmap[i] = unmapped
-	}
 	f.sbValid = make([]int32, f.numSBs)
 	f.sbErases = make([]int32, f.numSBs)
 	f.sbState = make([]uint8, f.numSBs)
@@ -186,6 +192,7 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	f.host = frontier{sb: -1}
 	f.gc = frontier{sb: -1}
 	f.bufState = make([]uint8, f.userLPNs)
+	f.pendingFIFO = make([]int64, max(0, cfg.WriteBufferBytes/cfg.LogicalPageSize))
 	f.drainBusy = make([]int8, f.dies)
 	return f
 }
@@ -216,7 +223,13 @@ func (f *FTL) BufferBytes() int64 { return f.bufUsed }
 func (f *FTL) InBuffer(lpn int64) bool { return f.bufState[lpn] != 0 }
 
 // Mapped reports whether the LPN has flash-resident data.
-func (f *FTL) Mapped(lpn int64) bool { return f.mapping[lpn] != unmapped }
+func (f *FTL) Mapped(lpn int64) bool { return f.ppnOf(lpn) != unmapped }
+
+// ppnOf returns the PPN backing lpn, or unmapped.
+func (f *FTL) ppnOf(lpn int64) int32 { return f.mapping[lpn] - 1 }
+
+// lpnAt returns the LPN stored in slot ppn, or unmapped.
+func (f *FTL) lpnAt(ppn int32) int32 { return f.rmap[ppn] - 1 }
 
 func (f *FTL) lowWaterSBs() int {
 	n := int(f.cfg.GCLowWaterFrac * float64(f.numSBs))
@@ -234,8 +247,11 @@ func (f *FTL) highWaterSBs() int {
 	return n
 }
 
+// dieOfSlot returns the die a slot's unit stripes to. Slots are
+// non-negative int32, so it divides in 32-bit unsigned arithmetic, which is
+// cheaper than 64-bit signed division on this once-per-unit path.
 func (f *FTL) dieOfSlot(slot int32) int {
-	return int(slot) / f.slotsPerUnit % f.dies
+	return int(uint32(slot) / uint32(f.slotsPerUnit) % uint32(f.dies))
 }
 
 func (f *FTL) pageOfPPN(ppn int32) int32 {
@@ -244,12 +260,12 @@ func (f *FTL) pageOfPPN(ppn int32) int32 {
 
 // invalidate drops the current mapping of lpn, if any.
 func (f *FTL) invalidate(lpn int64) {
-	old := f.mapping[lpn]
+	old := f.ppnOf(lpn)
 	if old == unmapped {
 		return
 	}
-	f.mapping[lpn] = unmapped
-	f.rmap[old] = unmapped
+	f.mapping[lpn] = 0
+	f.rmap[old] = 0
 	f.sbValid[old/int32(f.slotsPerSB)]--
 	f.counters.InvalidatedBytes += f.cfg.LogicalPageSize
 }
@@ -280,17 +296,16 @@ func (f *FTL) ensureOpen(fr *frontier, reserve int) bool {
 // given LPNs to its slots, updating the mapping synchronously. It returns
 // the die the unit lands on.
 func (f *FTL) allocUnit(fr *frontier, lpns []int64) (die int) {
-	base := fr.next
-	die = f.dieOfSlot(base)
+	die = f.dieOfSlot(fr.next)
+	ppn := fr.sb*int32(f.slotsPerSB) + fr.next
 	fr.next += int32(f.slotsPerUnit)
-	sbBase := fr.sb * int32(f.slotsPerSB)
-	for i, lpn := range lpns {
-		ppn := sbBase + base + int32(i)
+	for _, lpn := range lpns {
 		f.invalidate(lpn)
-		f.mapping[lpn] = ppn
-		f.rmap[ppn] = int32(lpn)
-		f.sbValid[fr.sb]++
+		f.mapping[lpn] = ppn + 1
+		f.rmap[ppn] = int32(lpn) + 1
+		ppn++
 	}
+	f.sbValid[fr.sb] += int32(len(lpns))
 	return die
 }
 
@@ -313,8 +328,8 @@ func (f *FTL) HostWrite(lpn, count int64, done func()) {
 // whole buffer stream through it; the request acks when its last page is
 // admitted.
 func (f *FTL) admitWaiters() {
-	for len(f.waiters) > 0 {
-		w := &f.waiters[0]
+	for f.waitHead < len(f.waiters) {
+		w := &f.waiters[f.waitHead]
 		for w.count > 0 {
 			p := w.lpn
 			if f.bufState[p]&bufPending != 0 {
@@ -327,17 +342,62 @@ func (f *FTL) admitWaiters() {
 				return // head waiter blocked: preserve FIFO order
 			}
 			f.bufState[p] |= bufPending
-			f.pendingFIFO = append(f.pendingFIFO, p)
+			f.pushPending(p)
 			f.bufUsed += f.cfg.LogicalPageSize
 			w.lpn++
 			w.count--
 		}
 		f.counters.BufferStallNanos += f.eng.Now().Sub(w.since)
 		done := w.done
-		copy(f.waiters, f.waiters[1:])
-		f.waiters = f.waiters[:len(f.waiters)-1]
+		f.popWaiter()
 		done()
 	}
+}
+
+// popWaiter drops the head waiter in O(1) amortized: the queue resets when
+// it empties and compacts once its popped prefix outgrows the live tail.
+func (f *FTL) popWaiter() {
+	f.waiters[f.waitHead] = waiter{} // release the callback
+	f.waitHead++
+	live := len(f.waiters) - f.waitHead
+	switch {
+	case live == 0:
+		f.waiters = f.waiters[:0]
+		f.waitHead = 0
+	case f.waitHead >= live:
+		n := copy(f.waiters, f.waiters[f.waitHead:])
+		clear(f.waiters[n:])
+		f.waiters = f.waiters[:n]
+		f.waitHead = 0
+	}
+}
+
+// pushPending appends lpn to the pending ring.
+func (f *FTL) pushPending(lpn int64) {
+	if f.pendLen == len(f.pendingFIFO) {
+		panic("ftl: write-buffer ring overflow")
+	}
+	i := f.pendHead + f.pendLen
+	if i >= len(f.pendingFIFO) {
+		i -= len(f.pendingFIFO)
+	}
+	f.pendingFIFO[i] = lpn
+	f.pendLen++
+}
+
+// popPending moves the oldest len(batch) pending LPNs into batch and marks
+// them in flight.
+func (f *FTL) popPending(batch []int64) {
+	for i := range batch {
+		p := f.pendingFIFO[f.pendHead]
+		if f.pendHead++; f.pendHead == len(f.pendingFIFO) {
+			f.pendHead = 0
+		}
+		batch[i] = p
+		f.bufState[p] &^= bufPending
+		f.bufState[p] += bufInflight
+	}
+	f.pendLen -= len(batch)
 }
 
 // Flush forces the write buffer to drain completely, then calls done.
@@ -365,8 +425,8 @@ func (f *FTL) checkFlushDone() {
 
 // kickDrain starts as many program units as die scheduling and space allow.
 func (f *FTL) kickDrain() {
-	for len(f.pendingFIFO) > 0 {
-		if len(f.pendingFIFO) < f.slotsPerUnit && f.forceFlush == 0 {
+	for f.pendLen > 0 {
+		if f.pendLen < f.slotsPerUnit && f.forceFlush == 0 {
 			return // wait for a full unit
 		}
 		if !f.ensureOpen(&f.host, f.cfg.ReserveSBs) {
@@ -380,18 +440,9 @@ func (f *FTL) kickDrain() {
 			// idling other dies behind one slow MSB program.
 			return
 		}
-		n := f.slotsPerUnit
-		if n > len(f.pendingFIFO) {
-			n = len(f.pendingFIFO)
-		}
+		n := min(f.slotsPerUnit, f.pendLen)
 		batch := make([]int64, n)
-		copy(batch, f.pendingFIFO[:n])
-		copy(f.pendingFIFO, f.pendingFIFO[n:])
-		f.pendingFIFO = f.pendingFIFO[:len(f.pendingFIFO)-n]
-		for _, p := range batch {
-			f.bufState[p] &^= bufPending
-			f.bufState[p] += bufInflight
-		}
+		f.popPending(batch)
 		f.allocUnit(&f.host, batch)
 		f.counters.HostSlots += uint64(n)
 		f.drainBusy[die]++
@@ -426,34 +477,59 @@ func (f *FTL) ReadLPNs(lpn, count int64, done func()) int {
 // media reads complete. Adjacent LPNs that share a flash page share one
 // media read.
 func (f *FTL) ReadList(lpns []int64, done func()) int {
-	seen := make(map[int32]int) // flash page -> die
+	pages := f.pageScratch[:0]
 	for _, p := range lpns {
 		if f.bufState[p] != 0 {
 			continue // DRAM hit
 		}
-		ppn := f.mapping[p]
+		ppn := f.ppnOf(p)
 		if ppn == unmapped {
 			continue // never written: served from the zero map
 		}
-		pg := f.pageOfPPN(ppn)
-		if _, ok := seen[pg]; !ok {
-			seen[pg] = f.dieOfSlot(ppn % int32(f.slotsPerSB))
+		pages = addPage(pages, f.pageOfPPN(ppn), f.dieOfSlot(ppn%int32(f.slotsPerSB)))
+	}
+	f.pageScratch = pages
+	f.readPages(pages, done)
+	return len(pages)
+}
+
+// pageRead is one distinct flash page a read or a GC batch fetches.
+type pageRead struct {
+	page int32
+	die  int
+}
+
+// addPage appends the page unless pages already holds it. Pages keep
+// first-seen order, so the media reads issue in a deterministic order. A
+// call collects a handful of pages, so a linear scan beats a map; it
+// starts from the end, where runs of adjacent slots find their page first.
+func addPage(pages []pageRead, page int32, die int) []pageRead {
+	for i := len(pages) - 1; i >= 0; i-- {
+		if pages[i].page == page {
+			return pages
 		}
 	}
-	if len(seen) == 0 {
+	return append(pages, pageRead{page: page, die: die})
+}
+
+// readPages issues one media read per page and calls done after the last,
+// or at once (as an event) when there is none. Reads complete only from
+// later events, so callers may reuse pages as soon as it returns.
+func (f *FTL) readPages(pages []pageRead, done func()) {
+	if len(pages) == 0 {
 		f.eng.Schedule(0, done)
-		return 0
+		return
 	}
-	remaining := len(seen)
-	for _, die := range seen {
-		f.arr.ReadPage(die, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+	remaining := len(pages)
+	read := func() {
+		remaining--
+		if remaining == 0 {
+			done()
+		}
 	}
-	return len(seen)
+	for _, pg := range pages {
+		f.arr.ReadPage(pg.die, read)
+	}
 }
 
 // Trim invalidates count logical pages starting at lpn. Buffered copies are
@@ -523,7 +599,7 @@ func (f *FTL) relocate(v int32, done func()) {
 	base := int32(f.slotsPerSB) * v
 	var live []int32
 	for s := int32(0); s < int32(f.slotsPerSB); s++ {
-		if f.rmap[base+s] != unmapped {
+		if f.lpnAt(base+s) != unmapped {
 			live = append(live, s)
 		}
 	}
@@ -560,34 +636,26 @@ func (f *FTL) relocate(v int32, done func()) {
 // programs the still-live ones to the GC frontier.
 func (f *FTL) gcMoveBatch(v int32, slots []int32, done func()) {
 	base := int32(f.slotsPerSB) * v
-	pages := make(map[int32]int) // page -> die
+	pages := f.pageScratch[:0]
 	for _, s := range slots {
-		if f.rmap[base+s] == unmapped {
+		if f.lpnAt(base+s) == unmapped {
 			continue // overwritten since selection
 		}
-		pages[(base+s)/int32(f.slotsPerPage)] = f.dieOfSlot(s)
+		pages = addPage(pages, f.pageOfPPN(base+s), f.dieOfSlot(s))
 	}
+	f.pageScratch = pages
 	if len(pages) == 0 {
 		f.eng.Schedule(0, done)
 		return
 	}
-	remaining := len(pages)
-	for _, die := range pages {
-		f.arr.ReadPage(die, func() {
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			f.gcProgramBatch(v, slots, done)
-		})
-	}
+	f.readPages(pages, func() { f.gcProgramBatch(v, slots, done) })
 }
 
 func (f *FTL) gcProgramBatch(v int32, slots []int32, done func()) {
 	base := int32(f.slotsPerSB) * v
 	var lpns []int64
 	for _, s := range slots {
-		lpn := f.rmap[base+s]
+		lpn := f.lpnAt(base + s)
 		if lpn != unmapped {
 			lpns = append(lpns, int64(lpn))
 		}
@@ -616,10 +684,8 @@ func (f *FTL) eraseSB(v int32, done func()) {
 			if remaining > 0 {
 				return
 			}
-			base := int32(f.slotsPerSB) * v
-			for s := int32(0); s < int32(f.slotsPerSB); s++ {
-				f.rmap[base+s] = unmapped
-			}
+			base := f.slotsPerSB * int(v)
+			clear(f.rmap[base : base+f.slotsPerSB])
 			f.sbValid[v] = 0
 			f.sbErases[v]++
 			f.sbState[v] = sbFree
@@ -644,25 +710,35 @@ func (f *FTL) Precondition(fillFrac float64, randomized bool, rng *sim.RNG) {
 		fillFrac = 1
 	}
 	n := int64(fillFrac * float64(f.userLPNs))
-	order := make([]int64, n)
-	for i := range order {
-		order[i] = int64(i)
-	}
+	// A sequential fill writes LPNs in order, so only a randomized one
+	// needs the whole permutation; the sequential one builds each unit in
+	// a reused scratch slice.
+	var order []int64
 	if randomized {
+		order = make([]int64, n)
+		for i := range order {
+			order[i] = int64(i)
+		}
 		for i := int64(n - 1); i > 0; i-- {
 			j := rng.Int64N(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
 	}
+	unit := make([]int64, f.slotsPerUnit)
 	for i := int64(0); i < n; i += int64(f.slotsPerUnit) {
-		end := i + int64(f.slotsPerUnit)
-		if end > n {
-			end = n
+		end := min(i+int64(f.slotsPerUnit), n)
+		lpns := unit[:end-i]
+		if randomized {
+			lpns = order[i:end]
+		} else {
+			for j := range lpns {
+				lpns[j] = i + int64(j)
+			}
 		}
 		if !f.ensureOpen(&f.host, f.cfg.ReserveSBs) {
 			panic("ftl: precondition ran out of space")
 		}
-		f.allocUnit(&f.host, order[i:end])
+		f.allocUnit(&f.host, lpns)
 		f.counters.PreconditionSlots += uint64(end - i)
 	}
 }

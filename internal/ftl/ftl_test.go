@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -303,12 +304,12 @@ func checkIntegrity(t *testing.T, f *FTL) {
 	// Every mapped LPN's rmap entry must point back at it.
 	var mappedCount int64
 	for lpn := int64(0); lpn < f.userLPNs; lpn++ {
-		ppn := f.mapping[lpn]
+		ppn := f.ppnOf(lpn)
 		if ppn == unmapped {
 			continue
 		}
 		mappedCount++
-		if got := f.rmap[ppn]; got != int32(lpn) {
+		if got := f.lpnAt(ppn); got != int32(lpn) {
 			t.Fatalf("rmap[%d] = %d, want %d", ppn, got, lpn)
 		}
 	}
@@ -317,7 +318,7 @@ func checkIntegrity(t *testing.T, f *FTL) {
 		var live int32
 		base := sb * f.slotsPerSB
 		for s := 0; s < f.slotsPerSB; s++ {
-			if f.rmap[base+s] != unmapped {
+			if f.lpnAt(int32(base+s)) != unmapped {
 				live++
 			}
 		}
@@ -346,8 +347,8 @@ func TestMappingIntegrityProperty(t *testing.T) {
 		eng.Run()
 		// Inline integrity check (cannot use t.Fatalf inside quick).
 		for lpn := int64(0); lpn < f.userLPNs; lpn++ {
-			ppn := f.mapping[lpn]
-			if ppn != unmapped && f.rmap[ppn] != int32(lpn) {
+			ppn := f.ppnOf(lpn)
+			if ppn != unmapped && f.lpnAt(ppn) != int32(lpn) {
 				return false
 			}
 		}
@@ -355,7 +356,7 @@ func TestMappingIntegrityProperty(t *testing.T) {
 			var live int32
 			base := sb * f.slotsPerSB
 			for s := 0; s < f.slotsPerSB; s++ {
-				if f.rmap[base+s] != unmapped {
+				if f.lpnAt(int32(base+s)) != unmapped {
 					live++
 				}
 			}
@@ -400,4 +401,171 @@ func TestWearAccounting(t *testing.T) {
 	if uint64(total) != f.Counters().Erases {
 		t.Fatalf("per-sb erases %d != counter %d", total, f.Counters().Erases)
 	}
+}
+
+// TestPreconditionSequentialLayoutPinned pins the sequential fill's layout:
+// LPN i lands in PPN i, the superblocks fill in order, and the host
+// frontier stops just past the last (partial) unit.
+func TestPreconditionSequentialLayoutPinned(t *testing.T) {
+	_, f := smallSetup(t, 64, 0.05)
+	f.Precondition(0.7, false, nil)
+	n := int64(0.7 * float64(f.userLPNs))
+	if n%int64(f.slotsPerUnit) == 0 {
+		t.Fatalf("fill of %d LPNs ends on a unit boundary; pick one that does not", n)
+	}
+	for lpn := int64(0); lpn < f.userLPNs; lpn++ {
+		want := int32(lpn)
+		if lpn >= n {
+			want = unmapped
+		}
+		if got := f.ppnOf(lpn); got != want {
+			t.Fatalf("LPN %d -> PPN %d, want %d", lpn, got, want)
+		}
+	}
+	for ppn := int32(0); ppn < int32(len(f.rmap)); ppn++ {
+		want := ppn
+		if int64(ppn) >= n {
+			want = unmapped
+		}
+		if got := f.lpnAt(ppn); got != want {
+			t.Fatalf("PPN %d holds LPN %d, want %d", ppn, got, want)
+		}
+	}
+	units := (n + int64(f.slotsPerUnit) - 1) / int64(f.slotsPerUnit)
+	lastSB := int32((units - 1) * int64(f.slotsPerUnit) / int64(f.slotsPerSB))
+	for sb := int32(0); sb < int32(f.numSBs); sb++ {
+		valid := min(max(n-int64(sb)*int64(f.slotsPerSB), 0), int64(f.slotsPerSB))
+		if f.sbValid[sb] != int32(valid) {
+			t.Fatalf("sb %d valid = %d, want %d", sb, f.sbValid[sb], valid)
+		}
+		state := sbFree
+		switch {
+		case sb < lastSB:
+			state = sbClosed
+		case sb == lastSB:
+			state = sbOpen
+		}
+		if f.sbState[sb] != state {
+			t.Fatalf("sb %d state = %d, want %d", sb, f.sbState[sb], state)
+		}
+	}
+	wantNext := int32(units*int64(f.slotsPerUnit) - int64(lastSB)*int64(f.slotsPerSB))
+	if f.host != (frontier{sb: lastSB, next: wantNext}) {
+		t.Fatalf("host frontier = %+v, want {sb:%d next:%d}", f.host, lastSB, wantNext)
+	}
+	if got := f.FreeSuperblocks(); got != f.numSBs-int(lastSB)-1 {
+		t.Fatalf("free superblocks = %d, want %d", got, f.numSBs-int(lastSB)-1)
+	}
+	if got := f.Counters().PreconditionSlots; got != uint64(n) {
+		t.Fatalf("PreconditionSlots = %d, want %d", got, n)
+	}
+	checkIntegrity(t, f)
+}
+
+// TestPreconditionRandomizedMatchesAllocUnit pins the randomized fill to
+// its definition: the seeded Fisher-Yates permutation of the filled LPNs,
+// written unit by unit through allocUnit on the host frontier.
+func TestPreconditionRandomizedMatchesAllocUnit(t *testing.T) {
+	_, got := smallSetup(t, 64, 0.05)
+	got.Precondition(0.7, true, sim.NewRNG(21, 22))
+
+	_, want := smallSetup(t, 64, 0.05)
+	n := int64(0.7 * float64(want.userLPNs))
+	order := make([]int64, n)
+	for i := range order {
+		order[i] = int64(i)
+	}
+	rng := sim.NewRNG(21, 22)
+	for i := n - 1; i > 0; i-- {
+		j := rng.Int64N(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	for i := int64(0); i < n; i += int64(want.slotsPerUnit) {
+		if !want.ensureOpen(&want.host, want.cfg.ReserveSBs) {
+			t.Fatal("reference fill ran out of space")
+		}
+		want.allocUnit(&want.host, order[i:min(i+int64(want.slotsPerUnit), n)])
+	}
+
+	if !slices.Equal(got.mapping, want.mapping) || !slices.Equal(got.rmap, want.rmap) {
+		t.Fatal("randomized precondition mapping differs from the allocUnit reference")
+	}
+	if !slices.Equal(got.sbValid, want.sbValid) || !slices.Equal(got.sbState, want.sbState) ||
+		!slices.Equal(got.freeSBs, want.freeSBs) {
+		t.Fatal("randomized precondition superblock state differs from the allocUnit reference")
+	}
+	if got.host != want.host {
+		t.Fatalf("host frontier = %+v, want %+v", got.host, want.host)
+	}
+	if c := got.Counters().PreconditionSlots; c != uint64(n) {
+		t.Fatalf("PreconditionSlots = %d, want %d", c, n)
+	}
+	checkIntegrity(t, got)
+}
+
+// TestWriteBufferQueueBoundedAndFIFO floods the write buffer with far more
+// sequential LPNs than it holds, all submitted at once, so the buffer stays
+// full until the very end. At every event the pending queue must fit in
+// twice the buffer's page count and hold a run of consecutive LPNs that
+// starts right after the last one drained; acks must come in submission
+// order.
+func TestWriteBufferQueueBoundedAndFIFO(t *testing.T) {
+	eng, f := smallSetup(t, 64, 0.05)
+	bufPages := int(f.cfg.WriteBufferBytes / f.cfg.LogicalPageSize)
+	const reqPages = 8
+	reqs := int(f.userLPNs) / reqPages
+	var acks []int
+	for i := 0; i < reqs; i++ {
+		f.HostWrite(int64(i*reqPages), reqPages, func() { acks = append(acks, i) })
+	}
+	check := func() {
+		t.Helper()
+		if c := cap(f.pendingFIFO); c > 2*bufPages {
+			t.Fatalf("pending queue capacity %d exceeds 2x the buffer's %d pages", c, bufPages)
+		}
+		if f.pendLen > bufPages {
+			t.Fatalf("%d pending LPNs in a %d-page buffer", f.pendLen, bufPages)
+		}
+		if f.pendLen == 0 {
+			return
+		}
+		head := f.pendingFIFO[f.pendHead]
+		for k := 0; k < f.pendLen; k++ {
+			if got := f.pendingFIFO[(f.pendHead+k)%len(f.pendingFIFO)]; got != head+int64(k) {
+				t.Fatalf("pending[%d] = LPN %d, want %d: admission order lost", k, got, head+int64(k))
+			}
+		}
+		// Everything before the head has left the queue (in flight or
+		// programmed); nothing after its tail has been admitted.
+		if head > 0 && f.bufState[head-1]&bufPending != 0 {
+			t.Fatalf("LPN %d still pending behind head %d", head-1, head)
+		}
+		if tail := head + int64(f.pendLen); tail < f.userLPNs && (f.bufState[tail] != 0 || f.Mapped(tail)) {
+			t.Fatalf("LPN %d admitted ahead of the queue tail", tail)
+		}
+	}
+	check()
+	steps, full := 0, 0
+	for eng.Step() {
+		check()
+		steps++
+		if f.bufUsed+f.cfg.LogicalPageSize > f.cfg.WriteBufferBytes {
+			full++
+		}
+	}
+	if full < steps/2 {
+		t.Fatalf("buffer full on only %d of %d events; the stream did not keep it saturated", full, steps)
+	}
+	if len(acks) != reqs {
+		t.Fatalf("%d of %d writes acked", len(acks), reqs)
+	}
+	for k, id := range acks {
+		if id != k {
+			t.Fatalf("ack %d went to request %d: acks out of submission order", k, id)
+		}
+	}
+	if f.BufferBytes() != 0 || len(f.waiters) != 0 {
+		t.Fatalf("buffer not drained: %d bytes, %d waiters", f.BufferBytes(), len(f.waiters))
+	}
+	checkIntegrity(t, f)
 }

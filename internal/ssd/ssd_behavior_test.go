@@ -1,9 +1,12 @@
 package ssd
 
 import (
+	"slices"
 	"testing"
 
 	"essdsim/internal/blockdev"
+	"essdsim/internal/flash"
+	"essdsim/internal/ftl"
 	"essdsim/internal/sim"
 )
 
@@ -179,5 +182,69 @@ func TestSequentialWritePlacementStripes(t *testing.T) {
 	lat := do(eng, s, blockdev.Read, 0, 256<<10)
 	if lat > 400*sim.Microsecond {
 		t.Fatalf("sequential-write readback latency %v: placement not striped", lat)
+	}
+}
+
+// TestReadAndGCRepeatable runs one cell that mixes random multi-page reads
+// with the random writes that keep GC relocating on a 95%-full device, 20
+// times in one process, and requires identical results every time. Flash
+// reads here draw their latency at random, so the order in which a host
+// read or a GC batch issues its page reads decides which page gets which
+// draw: any dependence on Go's randomized map iteration order shows up as
+// a differing run.
+func TestReadAndGCRepeatable(t *testing.T) {
+	type result struct {
+		lats  []sim.Duration
+		end   sim.Time
+		ftl   ftl.Counters
+		flash flash.Counters
+	}
+	run := func() result {
+		eng := sim.NewEngine()
+		cfg := DefaultConfig(64 << 20)
+		cfg.Flash.PagesPerBlock = 4 // 2 MiB superblocks: GC within a few MiB
+		cfg.Flash.ReadDist = sim.LogNormal{Median: 40 * sim.Microsecond, Sigma: 0.4}
+		s := New(eng, cfg, sim.NewRNG(13, 17))
+		s.Precondition(0.95, true)
+		rng := sim.NewRNG(19, 23)
+		var res result
+		const count = 3000
+		next, inflight := 0, 0
+		var submit func()
+		submit = func() {
+			for inflight < 16 && next < count {
+				next++
+				inflight++
+				req := &blockdev.Request{Op: blockdev.Write, Size: 16 << 10}
+				if rng.Int64N(2) == 0 {
+					req.Op, req.Size = blockdev.Read, 64<<10
+				}
+				req.Offset = rng.Int64N(s.Capacity()/req.Size) * req.Size
+				req.OnComplete = func(r *blockdev.Request, at sim.Time) {
+					res.lats = append(res.lats, r.Latency(at))
+					inflight--
+					submit()
+				}
+				s.Submit(req)
+			}
+		}
+		submit()
+		eng.Run()
+		res.end = eng.Now()
+		res.ftl = s.FTL().Counters()
+		res.flash = s.FlashCounters()
+		return res
+	}
+	first := run()
+	if first.ftl.GCVictims == 0 || first.flash.PageReads == 0 {
+		t.Fatalf("cell exercised no GC or no flash reads: %+v %+v", first.ftl, first.flash)
+	}
+	for i := 1; i < 20; i++ {
+		got := run()
+		if !slices.Equal(got.lats, first.lats) || got.end != first.end ||
+			got.ftl != first.ftl || got.flash != first.flash {
+			t.Fatalf("run %d differs from run 0: end %v vs %v, counters %+v vs %+v",
+				i, got.end, first.end, got.ftl, first.ftl)
+		}
 	}
 }

@@ -15,15 +15,16 @@
 # epoch throughput added in PR 8, the allocation-free KV hot path and the
 # KV tenant-mix suite added in PR 9, the observability-plane overhead
 # (tracing off vs on, probe sampling) added in PR 10, the raw engine and
-# device-op costs underneath them, the cache-overhead proof, and the
-# two-fidelity screen. BENCHTIME defaults to 5x — enough to average the
-# shared-VM noise without taking minutes.
+# device-op costs underneath them, the local-SSD cell set-up (device
+# build plus full sequential precondition, whose B/op is exact), the
+# cache-overhead proof, and the two-fidelity screen. BENCHTIME defaults
+# to 5x — enough to average the shared-VM noise without taking minutes.
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-5x}"
 OUT="${BENCH_OUT:-BENCH_PR10.json}"
-PATTERN='^(BenchmarkFleetPack|BenchmarkChurnEpochs|BenchmarkNeighborSweep|BenchmarkNeighborIsolation|BenchmarkFleetScreen|BenchmarkSweepCacheOverhead|BenchmarkEngineThroughput|BenchmarkDeviceIO|BenchmarkKVIngest|BenchmarkKVMix|BenchmarkTraceOverhead|BenchmarkProbeSampling)$'
+PATTERN='^(BenchmarkFleetPack|BenchmarkChurnEpochs|BenchmarkNeighborSweep|BenchmarkNeighborIsolation|BenchmarkFleetScreen|BenchmarkSweepCacheOverhead|BenchmarkEngineThroughput|BenchmarkDeviceIO|BenchmarkSSDCellSetup|BenchmarkKVIngest|BenchmarkKVMix|BenchmarkTraceOverhead|BenchmarkProbeSampling)$'
 
 GATE_ARGS=""
 if [ "${BENCH_GATE:-0}" = "1" ]; then
