@@ -346,22 +346,7 @@ func runTraceReplay(file, format, devices, precond string, seed uint64, workers 
 	if len(recs) == 0 {
 		fatal(fmt.Errorf("trace %s has no records", file))
 	}
-	sw := essdsim.Sweep{
-		Kind:     essdsim.SweepTraceReplay,
-		Seed:     seed,
-		Label:    "essdbench-trace",
-		Variant:  qosVariant(),
-		Trace:    recs,
-		FitTrace: format == "msr",
-	}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	sw.Devices = profileDevices(names...)
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
-		fatal(err)
-	}
+	sw := traceSweep(recs, format, devices, precond, seed)
 	fmt.Printf("trace replay: %d records on %d devices\n", len(recs), len(sw.Devices))
 	fmt.Printf("%-8s %10s %12s %11s %9s %8s %11s %11s\n",
 		"device", "ops", "bytes", "elapsed", "stretch", "peak-q", "p50", "p99.9")
@@ -379,6 +364,29 @@ func runTraceReplay(file, format, devices, precond string, seed uint64, workers 
 			r.DeviceName, r.Replay.Ops, r.Replay.Bytes, r.Replay.Elapsed,
 			stretch, r.Replay.MaxOutstanding, s.P50, s.P999)
 	}
+}
+
+// traceSweep declares the trace-replay sweep of recs over the comma-separated
+// device list; MSR-format traces are fitted onto each device.
+func traceSweep(recs []essdsim.TraceRecord, format, devices, precond string, seed uint64) essdsim.Sweep {
+	sw := essdsim.Sweep{
+		Kind:     essdsim.SweepTraceReplay,
+		Seed:     seed,
+		Label:    "essdbench-trace",
+		Variant:  qosVariant(),
+		Trace:    recs,
+		FitTrace: format == "msr",
+	}
+	var names []string
+	for _, name := range strings.Split(devices, ",") {
+		names = append(names, strings.TrimSpace(name))
+	}
+	sw.Devices = profileDevices(names...)
+	var err error
+	if sw.Precondition, err = parsePrecond(precond); err != nil {
+		fatal(err)
+	}
+	return sw
 }
 
 // runSLOSearch binary-searches offered rate for the highest rate whose
@@ -543,6 +551,26 @@ func runCachedSweep(sw essdsim.Sweep, workers int, cachePath string) ([]essdsim.
 // prints one summary row per cell.
 func runOpenSweep(devices, rws, sizes, arrivals string, rates []float64,
 	ops uint64, mixPct int, precond string, seed uint64, workers int, cachePath string) {
+	sw := openSweep(devices, rws, sizes, arrivals, rates, ops, mixPct, precond, seed)
+	fmt.Printf("open-loop sweep: %d cells on %d devices\n",
+		len(sw.Cells()), len(sw.Devices))
+	fmt.Printf("%-8s %-10s %-7s %-8s %9s %11s %11s %11s %8s\n",
+		"device", "rw", "bs", "arrival", "rate/s", "MB/s", "p50", "p99.9", "peak-q")
+	results, reportCache := runCachedSweep(sw, workers, cachePath)
+	for _, r := range results {
+		s := r.Open.Lat.Summarize()
+		fmt.Printf("%-8s %-10s %-7s %-8s %9.0f %11.1f %11v %11v %8d\n",
+			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.Arrival,
+			r.RatePerSec, r.Open.Throughput()/1e6, s.P50, s.P999,
+			r.Open.MaxOutstanding)
+	}
+	reportCache()
+}
+
+// openSweep declares the open-loop grid of the comma-separated device,
+// pattern, size, and arrival lists at the given offered rates.
+func openSweep(devices, rws, sizes, arrivals string, rates []float64,
+	ops uint64, mixPct int, precond string, seed uint64) essdsim.Sweep {
 	sw := essdsim.Sweep{Kind: essdsim.SweepOpen, Seed: seed, Label: "essdbench-open", Variant: qosVariant()}
 	var names []string
 	for _, name := range strings.Split(devices, ",") {
@@ -581,20 +609,7 @@ func runOpenSweep(devices, rws, sizes, arrivals string, rates []float64,
 	if sw.Precondition, err = parsePrecond(precond); err != nil {
 		fatal(err)
 	}
-
-	fmt.Printf("open-loop sweep: %d cells on %d devices\n",
-		len(sw.Cells()), len(sw.Devices))
-	fmt.Printf("%-8s %-10s %-7s %-8s %9s %11s %11s %11s %8s\n",
-		"device", "rw", "bs", "arrival", "rate/s", "MB/s", "p50", "p99.9", "peak-q")
-	results, reportCache := runCachedSweep(sw, workers, cachePath)
-	for _, r := range results {
-		s := r.Open.Lat.Summarize()
-		fmt.Printf("%-8s %-10s %-7s %-8s %9.0f %11.1f %11v %11v %8d\n",
-			r.DeviceName, r.Pattern, sizeLabel(r.BlockSize), r.Arrival,
-			r.RatePerSec, r.Open.Throughput()/1e6, s.P50, s.P999,
-			r.Open.MaxOutstanding)
-	}
-	reportCache()
+	return sw
 }
 
 // runSweep executes the cross product of comma-separated device, pattern,

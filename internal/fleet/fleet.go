@@ -453,6 +453,21 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	assignments, err := s.place()
+	if err != nil {
+		return nil, err
+	}
+	defs, refs := s.cells(assignments)
+	results, err := expgrid.Runner{Workers: s.Workers}.Run(ctx, s.MixSweep(s.mixCells(defs)))
+	if err != nil {
+		return nil, err
+	}
+	return s.fold(defs, refs, assignments, results), nil
+}
+
+// place runs every policy over the demand catalog, returning each
+// policy's backend index per demand.
+func (s Spec) place() ([][]int, error) {
 	cons := s.constraints()
 	assignments := make([][]int, len(s.Policies))
 	for i, p := range s.Policies {
@@ -468,7 +483,11 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 			}
 		}
 	}
-	defs, refs := s.cells(assignments)
+	return assignments, nil
+}
+
+// mixCells resolves cell definitions into the MixCells MixSweep simulates.
+func (s Spec) mixCells(defs []cellDef) []MixCell {
 	cells := make([]MixCell, len(defs))
 	for i, def := range defs {
 		members := make([]Demand, len(def.members))
@@ -477,11 +496,7 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 		}
 		cells[i] = MixCell{Name: def.name, Solo: def.solo, Members: members}
 	}
-	results, err := expgrid.Runner{Workers: s.Workers}.Run(ctx, s.MixSweep(cells))
-	if err != nil {
-		return nil, err
-	}
-	return s.fold(defs, refs, assignments, results), nil
+	return cells
 }
 
 // MixSweep assembles the expgrid sweep that simulates the given cells

@@ -132,12 +132,8 @@ func RunLatencyGrid(factory Factory, opts Options) *LatencyGrid {
 // RunLatencyGridWith measures a custom grid.
 func RunLatencyGridWith(factory Factory, patterns []workload.Pattern, sizes []int64, qds []int, opts Options) *LatencyGrid {
 	opts = opts.withDefaults()
-	sw := opts.sweep(factory, "fig2")
-	sw.Patterns = patterns
-	sw.BlockSizes = sizes
-	sw.QueueDepths = qds
 	grid := &LatencyGrid{}
-	for _, r := range opts.runGrid(sw) {
+	for _, r := range opts.runGrid(latencyGridSweep(factory, patterns, sizes, qds, opts)) {
 		grid.Device = r.Device
 		s := r.Res.Lat.Summarize()
 		grid.Cells = append(grid.Cells, LatencyCell{
@@ -146,6 +142,15 @@ func RunLatencyGridWith(factory Factory, patterns []workload.Pattern, sizes []in
 		})
 	}
 	return grid
+}
+
+// latencyGridSweep is the Figure 2 cell shape over a custom grid.
+func latencyGridSweep(factory Factory, patterns []workload.Pattern, sizes []int64, qds []int, opts Options) expgrid.Sweep {
+	sw := opts.sweep(factory, "fig2")
+	sw.Patterns = patterns
+	sw.BlockSizes = sizes
+	sw.QueueDepths = qds
+	return sw
 }
 
 // SustainedResult is one device's Figure 3 trace.

@@ -218,7 +218,26 @@ func DecodeCreditInfo(raw []byte) (any, error) {
 // worker count. Cancel ctx to stop early.
 func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 	s = s.withDefaults()
-	sw := expgrid.Sweep{
+	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, s.sweep())
+	if err != nil {
+		return nil, err
+	}
+	rep := &BurstReport{BlockSize: s.BlockSize, Ops: s.Ops}
+	for _, r := range results {
+		if rep.SampleInterval == 0 {
+			rep.SampleInterval = r.Open.Series.Interval()
+		}
+		rep.Cells = append(rep.Cells, foldBurstCell(r))
+		if r.Cached {
+			rep.CachedCells++
+		}
+	}
+	return rep, nil
+}
+
+// sweep declares the suite's expgrid grid from the (defaulted) settings.
+func (s BurstSweep) sweep() expgrid.Sweep {
+	return expgrid.Sweep{
 		Kind:           expgrid.Open,
 		Devices:        s.Devices,
 		Patterns:       []workload.Pattern{workload.Mixed},
@@ -234,21 +253,6 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 		Seed:           s.Seed,
 		Label:          s.Label,
 	}
-	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, sw)
-	if err != nil {
-		return nil, err
-	}
-	rep := &BurstReport{BlockSize: s.BlockSize, Ops: s.Ops}
-	for _, r := range results {
-		if rep.SampleInterval == 0 {
-			rep.SampleInterval = r.Open.Series.Interval()
-		}
-		rep.Cells = append(rep.Cells, foldBurstCell(r))
-		if r.Cached {
-			rep.CachedCells++
-		}
-	}
-	return rep, nil
 }
 
 func foldBurstCell(r expgrid.CellResult) BurstCell {

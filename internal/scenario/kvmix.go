@@ -264,6 +264,27 @@ func RunKVMix(ctx context.Context, s KVMixSweep) (*KVMixReport, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
+	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, s.sweep())
+	if err != nil {
+		return nil, err
+	}
+	rep := &KVMixReport{
+		Tenants:      s.Tenants,
+		OpsPerTenant: s.OpsPerTenant,
+		RatePerSec:   s.RatePerSec,
+		ReadFracPct:  s.ReadFracPct,
+	}
+	for _, r := range results {
+		rep.Cells = append(rep.Cells, foldKVMixCell(r))
+		if r.Cached {
+			rep.CachedCells++
+		}
+	}
+	return rep, nil
+}
+
+// sweep declares the suite's expgrid grid from the (defaulted) settings.
+func (s KVMixSweep) sweep() expgrid.Sweep {
 	devices := make([]expgrid.NamedFactory, 0, len(s.Tiers))
 	for _, tier := range s.Tiers {
 		devices = append(devices, expgrid.NamedFactory{Name: tier})
@@ -289,23 +310,7 @@ func RunKVMix(ctx context.Context, s KVMixSweep) (*KVMixReport, error) {
 	sw.Label = fmt.Sprintf("%s|t%d@%g/%dops/rf%d/%s/ks%d/mb%d", s.Label,
 		s.Tenants, s.RatePerSec, s.OpsPerTenant, s.ReadFracPct,
 		s.Arrival, s.KeySpace, s.MemtableBytes)
-	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, sw)
-	if err != nil {
-		return nil, err
-	}
-	rep := &KVMixReport{
-		Tenants:      s.Tenants,
-		OpsPerTenant: s.OpsPerTenant,
-		RatePerSec:   s.RatePerSec,
-		ReadFracPct:  s.ReadFracPct,
-	}
-	for _, r := range results {
-		rep.Cells = append(rep.Cells, foldKVMixCell(r))
-		if r.Cached {
-			rep.CachedCells++
-		}
-	}
-	return rep, nil
+	return sw
 }
 
 func foldKVMixCell(r expgrid.CellResult) KVMixCell {

@@ -311,37 +311,7 @@ type NeighborReport struct {
 // identical for any worker count. Cancel ctx to stop early.
 func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) {
 	s = s.withDefaults()
-	sw := expgrid.Sweep{
-		Kind:            expgrid.TenantMix,
-		Devices:         []expgrid.NamedFactory{{Name: "shared"}},
-		AggressorCounts: s.AggressorCounts,
-		RatesPerSec:     s.AggressorRatesPerSec,
-		WriteRatiosPct:  s.AggressorWriteRatiosPct,
-		Tenants:         s.BuildTenants,
-		InspectMix:      InspectNeighbors,
-		Cache:           s.Cache,
-		DecodeInfo:      DecodeNeighborInfo,
-		Seed:            s.Seed,
-		Label:           s.Label,
-	}
-	// The Tenants hook's inputs (victim shape, aggressor shape) are
-	// invisible to the expgrid fingerprint, which only hashes Sweep
-	// fields. Fold them into the label so two NeighborSweeps share cache
-	// entries (and cell seeds) exactly when they would build identical
-	// tenant mixes — the same contract BurstSweep gets from fingerprinted
-	// OpenOps/BlockSizes fields.
-	sw.Label = fmt.Sprintf("%s|v%d@%g/%dwr%d/%s|a%d/%s", s.Label,
-		s.VictimOps, s.VictimRatePerSec, s.VictimBlockSize,
-		s.VictimWriteRatioPct, s.VictimArrival,
-		s.AggressorBlockSize, s.AggressorArrival)
-	// The isolation axis goes in the sweep Variant, not the label: each
-	// policy caches separately (the backend schedules differently) while
-	// the cell seeds — and hence every tenant's arrival draws — stay
-	// identical across policies.
-	if s.Isolation.Enabled() || s.VictimWeight != 0 || s.VictimReservedRate != 0 {
-		sw.Variant = fmt.Sprintf("iso:%s|vw%g|vr%g",
-			s.Isolation.Signature(), s.VictimWeight, s.VictimReservedRate)
-	}
+	sw := s.sweep()
 	// Observability: wrap the Tenants hook so each cell gets its own
 	// tracer/prober capture (one writer per Cell.Index — race-free under
 	// any worker count), and force fresh simulations so every cell
@@ -411,6 +381,43 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 		}
 	}
 	return rep, nil
+}
+
+// sweep declares the suite's expgrid grid from the (defaulted) settings,
+// without the observability wrapping RunNeighbor adds.
+func (s NeighborSweep) sweep() expgrid.Sweep {
+	sw := expgrid.Sweep{
+		Kind:            expgrid.TenantMix,
+		Devices:         []expgrid.NamedFactory{{Name: "shared"}},
+		AggressorCounts: s.AggressorCounts,
+		RatesPerSec:     s.AggressorRatesPerSec,
+		WriteRatiosPct:  s.AggressorWriteRatiosPct,
+		Tenants:         s.BuildTenants,
+		InspectMix:      InspectNeighbors,
+		Cache:           s.Cache,
+		DecodeInfo:      DecodeNeighborInfo,
+		Seed:            s.Seed,
+		Label:           s.Label,
+	}
+	// The Tenants hook's inputs (victim shape, aggressor shape) are
+	// invisible to the expgrid fingerprint, which only hashes Sweep
+	// fields. Fold them into the label so two NeighborSweeps share cache
+	// entries (and cell seeds) exactly when they would build identical
+	// tenant mixes — the same contract BurstSweep gets from fingerprinted
+	// OpenOps/BlockSizes fields.
+	sw.Label = fmt.Sprintf("%s|v%d@%g/%dwr%d/%s|a%d/%s", s.Label,
+		s.VictimOps, s.VictimRatePerSec, s.VictimBlockSize,
+		s.VictimWriteRatioPct, s.VictimArrival,
+		s.AggressorBlockSize, s.AggressorArrival)
+	// The isolation axis goes in the sweep Variant, not the label: each
+	// policy caches separately (the backend schedules differently) while
+	// the cell seeds — and hence every tenant's arrival draws — stay
+	// identical across policies.
+	if s.Isolation.Enabled() || s.VictimWeight != 0 || s.VictimReservedRate != 0 {
+		sw.Variant = fmt.Sprintf("iso:%s|vw%g|vr%g",
+			s.Isolation.Signature(), s.VictimWeight, s.VictimReservedRate)
+	}
+	return sw
 }
 
 func foldNeighborCell(r expgrid.CellResult, s NeighborSweep) NeighborCell {

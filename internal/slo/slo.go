@@ -331,35 +331,7 @@ func Run(ctx context.Context, s Search) (*Report, error) {
 
 // probe runs one open-loop cell at the rate and folds it into a Probe.
 func (s Search) probe(ctx context.Context, rate float64) (*Probe, string, scenario.CreditInfo, error) {
-	ops := uint64(rate * s.Horizon.Seconds())
-	if ops < s.MinOps {
-		ops = s.MinOps
-	}
-	if ops > s.MaxOps {
-		ops = s.MaxOps
-	}
-	sw := expgrid.Sweep{
-		Kind:                  expgrid.Open,
-		Devices:               []expgrid.NamedFactory{s.Device},
-		Patterns:              []workload.Pattern{s.Pattern},
-		BlockSizes:            []int64{s.BlockSize},
-		Arrivals:              []workload.Arrival{s.Arrival},
-		RatesPerSec:           []float64{rate},
-		OpenOps:               ops,
-		OpenSampleInterval:    s.Window,
-		OpenWindowPercentiles: true,
-		Precondition:          s.Precondition,
-		Inspect:               scenario.InspectCredits,
-		Cache:                 s.Cache,
-		DecodeInfo:            scenario.DecodeCreditInfo,
-		Seed:                  s.Seed,
-		Label:                 s.Label,
-		Variant:               s.Variant,
-	}
-	if s.Pattern == workload.Mixed {
-		sw.WriteRatiosPct = []int{s.WriteRatioPct}
-	}
-	res, err := expgrid.Runner{Workers: 1}.Run(ctx, sw)
+	res, err := expgrid.Runner{Workers: 1}.Run(ctx, s.probeSweep(rate))
 	if err != nil {
 		return nil, "", scenario.CreditInfo{}, err
 	}
@@ -402,6 +374,39 @@ func (s Search) probe(ctx context.Context, rate float64) (*Probe, string, scenar
 		name = r.Device
 	}
 	return p, name, info, nil
+}
+
+// probeSweep declares the one-cell open-loop sweep that probes rate.
+func (s Search) probeSweep(rate float64) expgrid.Sweep {
+	ops := uint64(rate * s.Horizon.Seconds())
+	if ops < s.MinOps {
+		ops = s.MinOps
+	}
+	if ops > s.MaxOps {
+		ops = s.MaxOps
+	}
+	sw := expgrid.Sweep{
+		Kind:                  expgrid.Open,
+		Devices:               []expgrid.NamedFactory{s.Device},
+		Patterns:              []workload.Pattern{s.Pattern},
+		BlockSizes:            []int64{s.BlockSize},
+		Arrivals:              []workload.Arrival{s.Arrival},
+		RatesPerSec:           []float64{rate},
+		OpenOps:               ops,
+		OpenSampleInterval:    s.Window,
+		OpenWindowPercentiles: true,
+		Precondition:          s.Precondition,
+		Inspect:               scenario.InspectCredits,
+		Cache:                 s.Cache,
+		DecodeInfo:            scenario.DecodeCreditInfo,
+		Seed:                  s.Seed,
+		Label:                 s.Label,
+		Variant:               s.Variant,
+	}
+	if s.Pattern == workload.Mixed {
+		sw.WriteRatiosPct = []int{s.WriteRatioPct}
+	}
+	return sw
 }
 
 // Format writes a human-readable report: the two SLO-max rates, the credit
