@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -369,24 +370,17 @@ func runTraceReplay(file, format, devices, precond string, seed uint64, workers 
 // traceSweep declares the trace-replay sweep of recs over the comma-separated
 // device list; MSR-format traces are fitted onto each device.
 func traceSweep(recs []essdsim.TraceRecord, format, devices, precond string, seed uint64) essdsim.Sweep {
-	sw := essdsim.Sweep{
-		Kind:     essdsim.SweepTraceReplay,
-		Seed:     seed,
-		Label:    "essdbench-trace",
-		Variant:  qosVariant(),
-		Trace:    recs,
-		FitTrace: format == "msr",
-	}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	sw.Devices = profileDevices(names...)
-	var err error
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
+	mode, err := parsePrecond(precond)
+	if err != nil {
 		fatal(err)
 	}
-	return sw
+	return essdsim.Sweep{
+		Devices: profileDevices(splitList(devices)...),
+		Kind:    essdsim.SweepTraceReplay{Trace: recs, Fit: format == "msr", Precondition: mode},
+		Seed:    seed,
+		Label:   "essdbench-trace",
+		Variant: qosVariant(),
+	}
 }
 
 // runSLOSearch binary-searches offered rate for the highest rate whose
@@ -571,101 +565,66 @@ func runOpenSweep(devices, rws, sizes, arrivals string, rates []float64,
 // pattern, size, and arrival lists at the given offered rates.
 func openSweep(devices, rws, sizes, arrivals string, rates []float64,
 	ops uint64, mixPct int, precond string, seed uint64) essdsim.Sweep {
-	sw := essdsim.Sweep{Kind: essdsim.SweepOpen, Seed: seed, Label: "essdbench-open", Variant: qosVariant()}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
+	k := essdsim.SweepOpen{
+		Patterns:    parseList(rws, workload.ParsePattern),
+		BlockSizes:  parseList(sizes, fio.ParseSize),
+		Arrivals:    parseList(arrivals, workload.ParseArrival),
+		RatesPerSec: rates,
+		Ops:         ops,
 	}
-	sw.Devices = profileDevices(names...)
-	mixed := false
-	for _, s := range strings.Split(rws, ",") {
-		p, err := workload.ParsePattern(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		mixed = mixed || p == essdsim.Mixed
-		sw.Patterns = append(sw.Patterns, p)
-	}
-	for _, s := range strings.Split(sizes, ",") {
-		bs, err := fio.ParseSize(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.BlockSizes = append(sw.BlockSizes, bs)
-	}
-	for _, s := range strings.Split(arrivals, ",") {
-		arr, err := workload.ParseArrival(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.Arrivals = append(sw.Arrivals, arr)
-	}
-	sw.RatesPerSec = rates
-	sw.OpenOps = ops
-	if mixed {
-		sw.WriteRatiosPct = []int{mixPct}
+	if slices.Contains(k.Patterns, essdsim.Mixed) {
+		k.WriteRatiosPct = []int{mixPct}
 	}
 	var err error
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
+	if k.Precondition, err = parsePrecond(precond); err != nil {
 		fatal(err)
 	}
-	return sw
+	return essdsim.Sweep{
+		Devices: profileDevices(splitList(devices)...),
+		Kind:    k,
+		Seed:    seed,
+		Label:   "essdbench-open",
+		Variant: qosVariant(),
+	}
 }
 
 // runSweep executes the cross product of comma-separated device, pattern,
 // size, and depth lists as a parallel experiment grid and prints one
 // summary row per cell.
 func runSweep(devices, rws, sizes, depths, runtime, warmup, precond string, mixPct int, seed uint64, workers int, cachePath string) {
-	sw := essdsim.Sweep{Seed: seed, Label: "essdbench", Variant: qosVariant()}
-	var names []string
-	for _, name := range strings.Split(devices, ",") {
-		names = append(names, strings.TrimSpace(name))
+	k := essdsim.SweepClosed{
+		Patterns:    parseList(rws, workload.ParsePattern),
+		BlockSizes:  parseList(sizes, fio.ParseSize),
+		QueueDepths: parseList(depths, strconv.Atoi),
 	}
-	sw.Devices = profileDevices(names...)
-	mixed := false
-	for _, s := range strings.Split(rws, ",") {
-		p, err := workload.ParsePattern(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		mixed = mixed || p == essdsim.Mixed
-		sw.Patterns = append(sw.Patterns, p)
-	}
-	for _, s := range strings.Split(sizes, ",") {
-		bs, err := fio.ParseSize(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.BlockSizes = append(sw.BlockSizes, bs)
-	}
-	for _, s := range strings.Split(depths, ",") {
-		qd, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fatal(err)
-		}
-		sw.QueueDepths = append(sw.QueueDepths, qd)
-	}
-	if mixed {
-		sw.WriteRatiosPct = []int{mixPct}
+	if slices.Contains(k.Patterns, essdsim.Mixed) {
+		k.WriteRatiosPct = []int{mixPct}
 	}
 	var err error
-	if sw.CellDuration, err = fio.ParseDuration(runtime); err != nil {
+	if k.CellDuration, err = fio.ParseDuration(runtime); err != nil {
 		fatal(err)
 	}
-	if sw.CellDuration <= 0 {
+	if k.CellDuration <= 0 {
 		fatal(fmt.Errorf("sweep mode needs -runtime > 0"))
 	}
-	if sw.Warmup, err = fio.ParseDuration(warmup); err != nil {
+	if k.Warmup, err = fio.ParseDuration(warmup); err != nil {
 		fatal(err)
 	}
-	if sw.Warmup == 0 {
-		sw.Warmup = -1 // explicit -warmup 0: really no warmup, not the default
+	if k.Warmup == 0 {
+		k.Warmup = -1 // explicit -warmup 0: really no warmup, not the default
 	}
-	if sw.Precondition, err = parsePrecond(precond); err != nil {
+	if k.Precondition, err = parsePrecond(precond); err != nil {
 		fatal(err)
+	}
+	sw := essdsim.Sweep{
+		Devices: profileDevices(splitList(devices)...),
+		Kind:    k,
+		Seed:    seed,
+		Label:   "essdbench",
+		Variant: qosVariant(),
 	}
 
-	total := len(sw.Devices) * len(sw.Patterns) * len(sw.BlockSizes) * len(sw.QueueDepths)
+	total := len(sw.Devices) * len(k.Patterns) * len(k.BlockSizes) * len(k.QueueDepths)
 	fmt.Printf("sweep: %d cells on %d devices\n", total, len(sw.Devices))
 	fmt.Printf("%-8s %-10s %-7s %-4s %11s %11s %11s %11s\n",
 		"device", "rw", "bs", "QD", "MB/s", "IOPS", "avg", "p99.9")
@@ -677,6 +636,29 @@ func runSweep(devices, rws, sizes, depths, runtime, warmup, precond string, mixP
 			r.Res.Throughput()/1e6, r.Res.IOPS(), s.Mean, s.P999)
 	}
 	reportCache()
+}
+
+// splitList splits a comma-separated flag value into trimmed entries.
+func splitList(s string) []string {
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
+	}
+	return parts
+}
+
+// parseList parses every entry of a comma-separated flag value, exiting
+// on the first bad one.
+func parseList[T any](s string, parse func(string) (T, error)) []T {
+	var vals []T
+	for _, f := range splitList(s) {
+		v, err := parse(f)
+		if err != nil {
+			fatal(err)
+		}
+		vals = append(vals, v)
+	}
+	return vals
 }
 
 // parsePrecond maps the -precondition flag to a sweep mode; the single-run

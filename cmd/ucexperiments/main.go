@@ -528,11 +528,11 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("-kv-engines: %w", err))
 		}
-		skews, err := parseFloatList(*kvSkews)
+		skews, err := parseList(*kvSkews, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 		if err != nil {
 			fatal(fmt.Errorf("-kv-skews: %w", err))
 		}
-		valSizes, err := parseInt64List(*kvValSizes)
+		valSizes, err := parseList(*kvValSizes, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
 		if err != nil {
 			fatal(fmt.Errorf("-kv-value-sizes: %w", err))
 		}
@@ -675,36 +675,17 @@ func splitList(s string) ([]string, error) {
 	return out, nil
 }
 
-// parseFloatList parses a comma-separated flag of floats.
-func parseFloatList(s string) ([]float64, error) {
+// parseList parses a comma-separated flag, each item through parse.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 	items, err := splitList(s)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(items))
+	out := make([]T, len(items))
 	for i, item := range items {
-		v, err := strconv.ParseFloat(item, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", item)
+		if out[i], err = parse(item); err != nil {
+			return nil, fmt.Errorf("bad value %q", item)
 		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// parseInt64List parses a comma-separated flag of integers.
-func parseInt64List(s string) ([]int64, error) {
-	items, err := splitList(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(items))
-	for i, item := range items {
-		v, err := strconv.ParseInt(item, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", item)
-		}
-		out[i] = v
 	}
 	return out, nil
 }

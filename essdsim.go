@@ -326,8 +326,8 @@ type (
 // order. See internal/expgrid's package documentation for the
 // cell-isolation and seed-derivation model.
 type (
-	// Sweep declares an experiment grid: the cross product of device
-	// factories, patterns, block sizes, queue depths, and write ratios.
+	// Sweep declares an experiment grid: the device axis crossed with the
+	// axes of its Kind.
 	Sweep = expgrid.Sweep
 	// SweepCell is one point of a grid with its derived seed.
 	SweepCell = expgrid.Cell
@@ -342,24 +342,21 @@ type (
 	// SweepPrecond selects how a cell's device is prepared before
 	// measurement (see the Precond* constants).
 	SweepPrecond = expgrid.Precond
-	// SweepKind selects the per-cell workload family of a Sweep (see the
-	// SweepClosed/SweepOpen/SweepTraceReplay constants).
-	SweepKind = expgrid.Kind
+	// SweepKind is what a Sweep's cells run: a SweepClosed, SweepOpen, or
+	// SweepTraceReplay value carrying that family's own axes, settings,
+	// and inspect hook.
+	SweepKind = expgrid.CellKind
+	// SweepClosed runs fio-style closed-loop cells over pattern,
+	// block-size, queue-depth, and write-ratio axes.
+	SweepClosed = expgrid.Closed
+	// SweepOpen runs arrival-driven open-loop cells, adding arrival-shape
+	// and offered-rate axes.
+	SweepOpen = expgrid.Open
+	// SweepTraceReplay replays one recorded trace on each device.
+	SweepTraceReplay = expgrid.Replay
 )
 
-// Sweep kinds: closed-loop fio-style cells (the default), open-loop
-// arrival-driven cells with arrival-shape and offered-rate axes,
-// trace-replay cells (one replay of Sweep.Trace per device), and
-// tenant-mix cells (several generators on distinct volumes inside one
-// engine, with an aggressor-count axis).
-const (
-	SweepClosed      = expgrid.Closed
-	SweepOpen        = expgrid.Open
-	SweepTraceReplay = expgrid.TraceReplay
-	SweepTenantMix   = expgrid.TenantMix
-)
-
-// Device-preconditioning modes for Sweep.Precondition.
+// Device-preconditioning modes for a sweep kind's Precondition.
 const (
 	PrecondAuto   = expgrid.PrecondAuto
 	PrecondWrites = expgrid.PrecondWrites

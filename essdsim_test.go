@@ -154,14 +154,16 @@ func TestPublicObservation1EndToEnd(t *testing.T) {
 // consume it.
 func TestPublicSweepAPI(t *testing.T) {
 	sweep := essdsim.Sweep{
-		Devices:      essdsim.ProfileDevices("essd1"),
-		Patterns:     []essdsim.Pattern{essdsim.RandWrite, essdsim.SeqWrite},
-		BlockSizes:   []int64{16 << 10},
-		QueueDepths:  []int{1, 8},
-		CellDuration: 80 * essdsim.Millisecond,
-		Warmup:       15 * essdsim.Millisecond,
-		Precondition: essdsim.PrecondWrites,
-		Seed:         21,
+		Devices: essdsim.ProfileDevices("essd1"),
+		Kind: essdsim.SweepClosed{
+			Patterns:     []essdsim.Pattern{essdsim.RandWrite, essdsim.SeqWrite},
+			BlockSizes:   []int64{16 << 10},
+			QueueDepths:  []int{1, 8},
+			CellDuration: 80 * essdsim.Millisecond,
+			Warmup:       15 * essdsim.Millisecond,
+			Precondition: essdsim.PrecondWrites,
+		},
+		Seed: 21,
 	}
 	serial, err := essdsim.RunSweep(context.Background(), sweep, 1)
 	if err != nil {
@@ -208,14 +210,15 @@ func TestPublicOpenLoopAndBurst(t *testing.T) {
 	}
 
 	sweep := essdsim.Sweep{
-		Kind:        essdsim.SweepOpen,
-		Devices:     essdsim.ProfileDevices("gp2"),
-		Patterns:    []essdsim.Pattern{essdsim.RandWrite},
-		BlockSizes:  []int64{64 << 10},
-		Arrivals:    []essdsim.Arrival{essdsim.ArrivalUniform, essdsim.ArrivalBursty},
-		RatesPerSec: []float64{2000},
-		OpenOps:     300,
-		Seed:        4,
+		Devices: essdsim.ProfileDevices("gp2"),
+		Kind: essdsim.SweepOpen{
+			Patterns:    []essdsim.Pattern{essdsim.RandWrite},
+			BlockSizes:  []int64{64 << 10},
+			Arrivals:    []essdsim.Arrival{essdsim.ArrivalUniform, essdsim.ArrivalBursty},
+			RatesPerSec: []float64{2000},
+			Ops:         300,
+		},
+		Seed: 4,
 	}
 	cells, err := essdsim.RunSweep(context.Background(), sweep, 2)
 	if err != nil {

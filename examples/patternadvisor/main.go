@@ -23,15 +23,17 @@ func main() {
 	sizes := []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10}
 	qds := []int{1, 8, 32}
 	sw := essdsim.Sweep{
-		Devices:      essdsim.ProfileDevices(*device),
-		Patterns:     []essdsim.Pattern{essdsim.RandWrite, essdsim.SeqWrite},
-		BlockSizes:   sizes,
-		QueueDepths:  qds,
-		CellDuration: 300 * essdsim.Millisecond,
-		Warmup:       50 * essdsim.Millisecond,
-		Precondition: essdsim.PrecondWrites,
-		Seed:         3,
-		Label:        "patternadvisor",
+		Devices: essdsim.ProfileDevices(*device),
+		Kind: essdsim.SweepClosed{
+			Patterns:     []essdsim.Pattern{essdsim.RandWrite, essdsim.SeqWrite},
+			BlockSizes:   sizes,
+			QueueDepths:  qds,
+			CellDuration: 300 * essdsim.Millisecond,
+			Warmup:       50 * essdsim.Millisecond,
+			Precondition: essdsim.PrecondWrites,
+		},
+		Seed:  3,
+		Label: "patternadvisor",
 	}
 	results, err := essdsim.RunSweep(context.Background(), sw, *workers)
 	if err != nil {

@@ -23,9 +23,9 @@ import (
 // would measure byte-identical results.
 //
 // Two identities are deliberately outside the key and must be kept stable
-// by the caller: the device factory behind a NamedFactory name, and the
-// semantics of Sweep.Inspect. Change either and the sweep's Label (or the
-// cache file) should change with it.
+// by the caller: the device factory or Build hook behind a NamedFactory
+// name, and the semantics of the kind's Inspect hook. Change either and
+// the sweep's Label (or the cache file) should change with it.
 //
 // The cache is an LRU bounded by a capacity in entries, safe for
 // concurrent use by the worker pool, with optional JSON persistence via

@@ -13,18 +13,23 @@ import (
 	"essdsim/internal/workload"
 )
 
-func cacheTestSweep(cache *Cache) Sweep {
-	return Sweep{
-		Kind:        Open,
-		Devices:     Devices("gp2", func(seed uint64) blockdev.Device { return mustDevice("gp2", seed) }),
+func cacheTestKind() Open {
+	return Open{
 		Patterns:    []workload.Pattern{workload.RandWrite},
 		BlockSizes:  []int64{256 << 10},
 		Arrivals:    []workload.Arrival{workload.Uniform, workload.Bursty},
 		RatesPerSec: []float64{1500, 3000},
-		OpenOps:     600,
-		Cache:       cache,
-		Seed:        11,
-		Label:       "cache-test",
+		Ops:         600,
+	}
+}
+
+func cacheTestSweep(cache *Cache) Sweep {
+	return Sweep{
+		Devices: Devices("gp2", func(seed uint64) blockdev.Device { return mustDevice("gp2", seed) }),
+		Kind:    cacheTestKind(),
+		Cache:   cache,
+		Seed:    11,
+		Label:   "cache-test",
 	}
 }
 
@@ -111,12 +116,14 @@ func TestCacheMissOnChangedSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	more := sw
-	more.OpenOps = 700 // same coordinates, different measurement length
+	k := cacheTestKind()
+	k.Ops = 700 // same coordinates, different measurement length
+	more.Kind = k
 	if _, err := (Runner{}).Run(context.Background(), more); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ := cache.Stats(); hits != 0 {
-		t.Fatalf("sweep with different OpenOps hit the cache %d times", hits)
+		t.Fatalf("sweep with different Ops hit the cache %d times", hits)
 	}
 }
 
@@ -141,9 +148,11 @@ func TestCacheInspectMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	withInspect := sw
-	withInspect.Inspect = func(dev blockdev.Device, c Cell) any {
+	k := cacheTestKind()
+	k.Inspect = func(dev blockdev.Device, c Cell) any {
 		return map[string]int{"x": 1}
 	}
+	withInspect.Kind = k
 	res, err := Runner{}.Run(context.Background(), withInspect)
 	if err != nil {
 		t.Fatal(err)

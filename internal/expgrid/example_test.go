@@ -18,7 +18,6 @@ import (
 func ExampleRunner_Run() {
 	cache := expgrid.NewCache(0)
 	sweep := expgrid.Sweep{
-		Kind: expgrid.Open,
 		Devices: expgrid.Devices("gp2", func(seed uint64) blockdev.Device {
 			dev, err := profiles.ByName("gp2", sim.NewEngine(), sim.NewRNG(seed, seed^0x5c))
 			if err != nil {
@@ -26,13 +25,15 @@ func ExampleRunner_Run() {
 			}
 			return dev
 		}),
-		Patterns:    []workload.Pattern{workload.RandWrite},
-		BlockSizes:  []int64{256 << 10},
-		Arrivals:    []workload.Arrival{workload.Uniform, workload.Bursty},
-		RatesPerSec: []float64{1500, 3000},
-		OpenOps:     500,
-		Cache:       cache,
-		Seed:        42,
+		Kind: expgrid.Open{
+			Patterns:    []workload.Pattern{workload.RandWrite},
+			BlockSizes:  []int64{256 << 10},
+			Arrivals:    []workload.Arrival{workload.Uniform, workload.Bursty},
+			RatesPerSec: []float64{1500, 3000},
+			Ops:         500,
+		},
+		Cache: cache,
+		Seed:  42,
 	}
 	for _, pass := range []string{"cold", "warm"} {
 		results, err := expgrid.Runner{Workers: 4}.Run(context.Background(), sweep)

@@ -2,6 +2,7 @@ package expgrid
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,6 +32,17 @@ func ssdFactory(seed uint64) blockdev.Device {
 	return d
 }
 
+// quickKind is quickSweep's 2-pattern × 2-size × 2-QD closed-loop grid.
+func quickKind() Closed {
+	return Closed{
+		Patterns:     []workload.Pattern{workload.RandWrite, workload.RandRead},
+		BlockSizes:   []int64{4 << 10, 64 << 10},
+		QueueDepths:  []int{1, 8},
+		CellDuration: 60 * sim.Millisecond,
+		Warmup:       10 * sim.Millisecond,
+	}
+}
+
 // quickSweep is a 2-device × 2-pattern × 2-size × 2-QD grid (16 cells)
 // small enough for -short runs.
 func quickSweep() Sweep {
@@ -39,13 +51,9 @@ func quickSweep() Sweep {
 			{Name: "essd1", New: essd1Factory},
 			{Name: "ssd", New: ssdFactory},
 		},
-		Patterns:     []workload.Pattern{workload.RandWrite, workload.RandRead},
-		BlockSizes:   []int64{4 << 10, 64 << 10},
-		QueueDepths:  []int{1, 8},
-		CellDuration: 60 * sim.Millisecond,
-		Warmup:       10 * sim.Millisecond,
-		Seed:         7,
-		Label:        "test",
+		Kind:  quickKind(),
+		Seed:  7,
+		Label: "test",
 	}
 }
 
@@ -84,9 +92,11 @@ func TestSeedStableUnderSubsetting(t *testing.T) {
 	// Subset and reorder every axis: surviving cells must keep their seeds.
 	sub := full
 	sub.Devices = []NamedFactory{{Name: "ssd", New: ssdFactory}, {Name: "essd1", New: essd1Factory}}
-	sub.Patterns = []workload.Pattern{workload.RandRead}
-	sub.BlockSizes = []int64{64 << 10}
-	sub.QueueDepths = []int{8, 1}
+	k := quickKind()
+	k.Patterns = []workload.Pattern{workload.RandRead}
+	k.BlockSizes = []int64{64 << 10}
+	k.QueueDepths = []int{8, 1}
+	sub.Kind = k
 	for _, c := range sub.Cells() {
 		dev := int64(0) // essd1's index in the full sweep
 		if c.DeviceName == "ssd" {
@@ -225,7 +235,9 @@ func TestCancellation(t *testing.T) {
 
 func TestCellErrorStopsSweep(t *testing.T) {
 	sw := quickSweep()
-	sw.BlockSizes = []int64{100} // not a multiple of the device block size
+	k := quickKind()
+	k.BlockSizes = []int64{100} // not a multiple of the device block size
+	sw.Kind = k
 	results, err := Runner{Workers: 2}.Run(context.Background(), sw)
 	if err == nil {
 		t.Fatal("invalid spec did not error")
@@ -254,6 +266,14 @@ func TestValidate(t *testing.T) {
 	if err := sw.Validate(); err == nil {
 		t.Fatal("nil factory validated")
 	}
+	sw = quickSweep()
+	sw.Kind = nil
+	if err := sw.Validate(); err == nil {
+		t.Fatal("sweep without a kind validated")
+	}
+	if len(sw.Cells()) != 0 || sw.Fingerprint() != 0 {
+		t.Fatal("sweep without a kind has cells or a fingerprint")
+	}
 }
 
 // TestValidateAxisValues asserts that bad axis entries fail validation
@@ -261,16 +281,18 @@ func TestValidate(t *testing.T) {
 // dying mid-sweep (or silently: a negative closed-loop queue depth used
 // to reach workload.Run unchecked).
 func TestValidateAxisValues(t *testing.T) {
-	for name, mutate := range map[string]func(*Sweep){
-		"zero block size":     func(s *Sweep) { s.BlockSizes = []int64{4 << 10, 0} },
-		"negative block size": func(s *Sweep) { s.BlockSizes = []int64{-4096} },
-		"zero queue depth":    func(s *Sweep) { s.QueueDepths = []int{0} },
-		"negative depth":      func(s *Sweep) { s.QueueDepths = []int{1, -2} },
-		"ratio above 100":     func(s *Sweep) { s.WriteRatiosPct = []int{50, 101} },
-		"ratio below -1":      func(s *Sweep) { s.WriteRatiosPct = []int{-2} },
+	for name, mutate := range map[string]func(*Closed){
+		"zero block size":     func(k *Closed) { k.BlockSizes = []int64{4 << 10, 0} },
+		"negative block size": func(k *Closed) { k.BlockSizes = []int64{-4096} },
+		"zero queue depth":    func(k *Closed) { k.QueueDepths = []int{0} },
+		"negative depth":      func(k *Closed) { k.QueueDepths = []int{1, -2} },
+		"ratio above 100":     func(k *Closed) { k.WriteRatiosPct = []int{50, 101} },
+		"ratio below -1":      func(k *Closed) { k.WriteRatiosPct = []int{-2} },
 	} {
+		k := quickKind()
+		mutate(&k)
 		s := quickSweep()
-		mutate(&s)
+		s.Kind = k
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: sweep accepted", name)
 		}
@@ -279,19 +301,22 @@ func TestValidateAxisValues(t *testing.T) {
 		}
 	}
 	// The documented -1 sentinel stays valid.
+	k := quickKind()
+	k.WriteRatiosPct = []int{-1, 0, 100}
 	ok := quickSweep()
-	ok.WriteRatiosPct = []int{-1, 0, 100}
+	ok.Kind = k
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("sentinel ratio rejected: %v", err)
 	}
 	// Open sweeps share the block-size check.
 	open := Sweep{
-		Kind:        Open,
-		Devices:     Devices("essd1", essd1Factory),
-		Patterns:    []workload.Pattern{workload.RandWrite},
-		BlockSizes:  []int64{0},
-		Arrivals:    []workload.Arrival{workload.Uniform},
-		RatesPerSec: []float64{100},
+		Devices: Devices("essd1", essd1Factory),
+		Kind: Open{
+			Patterns:    []workload.Pattern{workload.RandWrite},
+			BlockSizes:  []int64{0},
+			Arrivals:    []workload.Arrival{workload.Uniform},
+			RatesPerSec: []float64{100},
+		},
 	}
 	if err := open.Validate(); err == nil {
 		t.Error("open sweep accepted a zero block size")
@@ -300,15 +325,17 @@ func TestValidateAxisValues(t *testing.T) {
 
 func TestWriteRatioAxisAndPrecond(t *testing.T) {
 	sw := Sweep{
-		Devices:        Devices("essd1", essd1Factory),
-		Patterns:       []workload.Pattern{workload.Mixed},
-		BlockSizes:     []int64{128 << 10},
-		QueueDepths:    []int{8},
-		WriteRatiosPct: []int{0, 100},
-		CellDuration:   60 * sim.Millisecond,
-		Warmup:         10 * sim.Millisecond,
-		Precondition:   PrecondFull,
-		Seed:           3,
+		Devices: Devices("essd1", essd1Factory),
+		Kind: Closed{
+			Patterns:       []workload.Pattern{workload.Mixed},
+			BlockSizes:     []int64{128 << 10},
+			QueueDepths:    []int{8},
+			WriteRatiosPct: []int{0, 100},
+			CellDuration:   60 * sim.Millisecond,
+			Warmup:         10 * sim.Millisecond,
+			Precondition:   PrecondFull,
+		},
+		Seed: 3,
 	}
 	results, err := Runner{}.Run(context.Background(), sw)
 	if err != nil {
@@ -332,15 +359,15 @@ func TestWriteRatioAxisAndPrecond(t *testing.T) {
 // TestRatioAxisOnlyMultipliesMixed asserts that adding a write-ratio axis
 // neither duplicates nor re-seeds pure-pattern cells.
 func TestRatioAxisOnlyMultipliesMixed(t *testing.T) {
-	base := Sweep{
-		Devices:     Devices("essd1", essd1Factory),
+	k := Closed{
 		Patterns:    []workload.Pattern{workload.RandRead, workload.Mixed},
 		BlockSizes:  []int64{4 << 10},
 		QueueDepths: []int{1},
-		Seed:        5,
 	}
+	base := Sweep{Devices: Devices("essd1", essd1Factory), Kind: k, Seed: 5}
 	withAxis := base
-	withAxis.WriteRatiosPct = []int{30, 70}
+	k.WriteRatiosPct = []int{30, 70}
+	withAxis.Kind = k
 	cells := withAxis.Cells()
 	if len(cells) != 3 {
 		t.Fatalf("cells = %d, want 1 randread + 2 mixed", len(cells))
@@ -357,12 +384,11 @@ func TestRatioAxisOnlyMultipliesMixed(t *testing.T) {
 }
 
 func TestNegativeWarmupMeansNone(t *testing.T) {
-	sw := Sweep{Warmup: -1}.withDefaults()
-	if sw.Warmup != 0 {
-		t.Fatalf("negative warmup became %v, want 0", sw.Warmup)
+	if _, warmup := window(0, -1); warmup != 0 {
+		t.Fatalf("negative warmup became %v, want 0", warmup)
 	}
-	if def := (Sweep{}).withDefaults(); def.Warmup != 50*sim.Millisecond {
-		t.Fatalf("default warmup = %v", def.Warmup)
+	if dur, warmup := window(0, 0); dur != 500*sim.Millisecond || warmup != 50*sim.Millisecond {
+		t.Fatalf("default window = %v, %v", dur, warmup)
 	}
 }
 
@@ -430,21 +456,26 @@ func projectOpen(results []CellResult) []openProjection {
 	return out
 }
 
-func openSweep() Sweep {
-	return Sweep{
-		Kind: Open,
-		Devices: []NamedFactory{
-			{Name: "essd1", New: essd1Factory},
-			{Name: "ssd", New: ssdFactory},
-		},
+func openKind() Open {
+	return Open{
 		Patterns:       []workload.Pattern{workload.RandRead, workload.Mixed},
 		BlockSizes:     []int64{64 << 10},
 		WriteRatiosPct: []int{30, 70},
 		Arrivals:       []workload.Arrival{workload.Uniform, workload.Bursty, workload.Poisson},
 		RatesPerSec:    []float64{2000, 8000},
-		OpenOps:        300,
-		Seed:           9,
-		Label:          "open-test",
+		Ops:            300,
+	}
+}
+
+func openSweep() Sweep {
+	return Sweep{
+		Devices: []NamedFactory{
+			{Name: "essd1", New: essd1Factory},
+			{Name: "ssd", New: ssdFactory},
+		},
+		Kind:  openKind(),
+		Seed:  9,
+		Label: "open-test",
 	}
 }
 
@@ -501,12 +532,11 @@ func testTrace(count int, gap sim.Duration) []trace.Record {
 // TestTraceSweepParallelDeterminism does the same for trace-replay cells.
 func TestTraceSweepParallelDeterminism(t *testing.T) {
 	sw := Sweep{
-		Kind: TraceReplay,
 		Devices: []NamedFactory{
 			{Name: "essd1", New: essd1Factory},
 			{Name: "ssd", New: ssdFactory},
 		},
-		Trace: testTrace(400, 50*sim.Microsecond),
+		Kind:  Replay{Trace: testTrace(400, 50*sim.Microsecond)},
 		Seed:  13,
 		Label: "trace-test",
 	}
@@ -544,60 +574,78 @@ func TestKindValidation(t *testing.T) {
 	if err := open.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	broken := open
-	broken.Arrivals = nil
-	if err := broken.Validate(); err == nil {
-		t.Error("open sweep without arrivals validated")
+	for name, mutate := range map[string]func(*Open){
+		"no arrivals":   func(k *Open) { k.Arrivals = nil },
+		"no rates":      func(k *Open) { k.RatesPerSec = nil },
+		"zero rate":     func(k *Open) { k.RatesPerSec = []float64{0} },
+		"NaN rate":      func(k *Open) { k.RatesPerSec = []float64{2000, math.NaN()} },
+		"+Inf rate":     func(k *Open) { k.RatesPerSec = []float64{math.Inf(1)} },
+		"-Inf rate":     func(k *Open) { k.RatesPerSec = []float64{math.Inf(-1)} },
+		"no patterns":   func(k *Open) { k.Patterns = nil },
+		"bad ratio":     func(k *Open) { k.WriteRatiosPct = []int{-5} },
+		"no block size": func(k *Open) { k.BlockSizes = nil },
+	} {
+		k := openKind()
+		mutate(&k)
+		broken := openSweep()
+		broken.Kind = k
+		if err := broken.Validate(); err == nil {
+			t.Errorf("%s: open sweep validated", name)
+		}
 	}
-	broken = open
-	broken.RatesPerSec = []float64{0}
-	if err := broken.Validate(); err == nil {
-		t.Error("open sweep with zero rate validated")
-	}
-	broken = open
-	broken.QueueDepths = nil // open sweeps don't need queue depths
-	if err := broken.Validate(); err != nil {
-		t.Errorf("open sweep rejected for missing queue depths: %v", err)
-	}
-	tr := Sweep{Kind: TraceReplay, Devices: Devices("essd1", essd1Factory)}
+	tr := Sweep{Devices: Devices("essd1", essd1Factory), Kind: Replay{}}
 	if err := tr.Validate(); err == nil {
 		t.Error("trace sweep without records validated")
 	}
-	tr.Trace = testTrace(4, sim.Microsecond)
+	tr.Kind = Replay{Trace: testTrace(4, sim.Microsecond)}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("minimal trace sweep rejected: %v", err)
 	}
 }
 
-// TestOpenSeedCoordinates asserts arrival and rate feed the seed and that
-// open cells are decorrelated from closed cells at the same coordinates.
+// TestOpenSeedCoordinates asserts arrival and rate feed open-loop seeds,
+// that open, closed, and trace cells at shared coordinates are
+// decorrelated, and that the device feeds trace seeds, against literal
+// values.
 func TestOpenSeedCoordinates(t *testing.T) {
-	base := OpenCellSeed(1, "l", "d", workload.RandRead, 4096, workload.Uniform, 1000, -1)
-	if OpenCellSeed(1, "l", "d", workload.RandRead, 4096, workload.Bursty, 1000, -1) == base {
-		t.Error("arrival does not decorrelate open seeds")
+	open := func(a workload.Arrival, rate float64) CellKind {
+		return Open{Patterns: []workload.Pattern{workload.RandRead}, BlockSizes: []int64{4096},
+			Arrivals: []workload.Arrival{a}, RatesPerSec: []float64{rate}}
 	}
-	if OpenCellSeed(1, "l", "d", workload.RandRead, 4096, workload.Uniform, 2000, -1) == base {
-		t.Error("rate does not decorrelate open seeds")
-	}
-	if CellSeed(1, "l", "d", workload.RandRead, 4096, 0, -1) == base {
-		t.Error("open and closed cells share a seed")
-	}
-	if TraceCellSeed(1, "l", "d") == TraceCellSeed(1, "l", "e") {
-		t.Error("device does not decorrelate trace seeds")
+	for _, tc := range []struct {
+		name   string
+		device string
+		kind   CellKind
+		want   uint64
+	}{
+		{"open", "d", open(workload.Uniform, 1000), 0x7cb9c86381049720},
+		{"open bursty", "d", open(workload.Bursty, 1000), 0x4a61a53267b873b3},
+		{"open 2000/s", "d", open(workload.Uniform, 2000), 0x5f8fd2efbdefeb4a},
+		{"closed qd 0", "d", Closed{Patterns: []workload.Pattern{workload.RandRead},
+			BlockSizes: []int64{4096}, QueueDepths: []int{0}}, 0xcd53b3d9040eaf41},
+		{"trace d", "d", Replay{}, 0xfa2366c79be95cba},
+		{"trace e", "e", Replay{}, 0x855ccaa86d9eb93f},
+	} {
+		sw := Sweep{Devices: []NamedFactory{{Name: tc.device}}, Kind: tc.kind, Seed: 1, Label: "l"}
+		if got := sw.Cells()[0].Seed; got != tc.want {
+			t.Errorf("%s: seed %016x, pinned %016x", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestInspectHook(t *testing.T) {
 	sw := Sweep{
-		Devices:      Devices("essd1", essd1Factory),
-		Patterns:     []workload.Pattern{workload.RandWrite},
-		BlockSizes:   []int64{4 << 10},
-		QueueDepths:  []int{1},
-		CellDuration: 30 * sim.Millisecond,
-		Warmup:       5 * sim.Millisecond,
-		Seed:         11,
+		Devices: Devices("essd1", essd1Factory),
+		Kind: Closed{
+			Patterns:     []workload.Pattern{workload.RandWrite},
+			BlockSizes:   []int64{4 << 10},
+			QueueDepths:  []int{1},
+			CellDuration: 30 * sim.Millisecond,
+			Warmup:       5 * sim.Millisecond,
+			Inspect:      func(dev blockdev.Device, c Cell) any { return dev.Capacity() },
+		},
+		Seed: 11,
 	}
-	sw.Inspect = func(dev blockdev.Device, c Cell) any { return dev.Capacity() }
 	results, err := Runner{}.Run(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package expgrid
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,33 +44,39 @@ func kvHook(c Cell) (*sim.Engine, []kv.MixTenant) {
 	return eng, tenants
 }
 
+func kvKind() KV {
+	return KV{
+		Engines:    []string{"lsm", "pagestore"},
+		Skews:      []float64{0, 0.99},
+		ValueSizes: []int64{1024},
+		Build:      kvHook,
+	}
+}
+
 func kvSweep() Sweep {
 	return Sweep{
-		Kind:         KVMix,
-		Devices:      []NamedFactory{{Name: "essd1"}},
-		KVEngines:    []string{"lsm", "pagestore"},
-		KVSkews:      []float64{0, 0.99},
-		KVValueSizes: []int64{1024},
-		KV:           kvHook,
-		Seed:         5,
-		Label:        "kv-test",
+		Devices: []NamedFactory{{Name: "essd1"}},
+		Kind:    kvKind(),
+		Seed:    5,
+		Label:   "kv-test",
 	}
 }
 
 // TestKVMixEnumeration checks the KV grid's shape, order, and seed
-// coordinates.
+// coordinates. The seeds are literal: changing one re-seeds the cell and
+// orphans its persisted cache entries.
 func TestKVMixEnumeration(t *testing.T) {
 	cells := kvSweep().Cells()
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(cells))
 	}
+	seeds := []uint64{0x060050c44c686bb8, 0x099be262b5640831, 0x2a57c21d2e83968f, 0x592f1e080895849e}
 	for i, c := range cells {
 		if c.Index != i {
 			t.Fatalf("cell %d has index %d", i, c.Index)
 		}
-		want := KVCellSeed(5, "kv-test", "essd1", c.KVEngine, c.KVSkew, c.ValueSize)
-		if c.Seed != want {
-			t.Fatalf("cell %d seed not coordinate-derived", i)
+		if c.Seed != seeds[i] {
+			t.Fatalf("cell %d seed %016x, pinned %016x", i, c.Seed, seeds[i])
 		}
 		if c.ValueSize != 1024 {
 			t.Fatalf("cell %d value size %d", i, c.ValueSize)
@@ -83,27 +90,40 @@ func TestKVMixEnumeration(t *testing.T) {
 	}
 }
 
+// kvSeed is the seed of the single cell of a one-device, one-coordinate
+// KV sweep.
+func kvSeed(root uint64, label, device, engine string, skew float64, valueSize int64) uint64 {
+	return Sweep{
+		Devices: []NamedFactory{{Name: device}},
+		Kind:    KV{Engines: []string{engine}, Skews: []float64{skew}, ValueSizes: []int64{valueSize}},
+		Seed:    root,
+		Label:   label,
+	}.Cells()[0].Seed
+}
+
 // TestKVCellSeedDecorrelated checks each coordinate contributes to the
-// cell seed and that seeds are stable across calls.
+// cell seed, against literal values.
 func TestKVCellSeedDecorrelated(t *testing.T) {
-	base := KVCellSeed(5, "l", "essd1", "lsm", 0.5, 1024)
-	if base != KVCellSeed(5, "l", "essd1", "lsm", 0.5, 1024) {
-		t.Fatal("seed not stable")
-	}
-	variants := []uint64{
-		KVCellSeed(6, "l", "essd1", "lsm", 0.5, 1024),
-		KVCellSeed(5, "m", "essd1", "lsm", 0.5, 1024),
-		KVCellSeed(5, "l", "essd2", "lsm", 0.5, 1024),
-		KVCellSeed(5, "l", "essd1", "pagestore", 0.5, 1024),
-		KVCellSeed(5, "l", "essd1", "lsm", 0.99, 1024),
-		KVCellSeed(5, "l", "essd1", "lsm", 0.5, 4096),
-	}
-	seen := map[uint64]bool{base: true}
-	for i, v := range variants {
-		if seen[v] {
-			t.Errorf("variant %d collides", i)
+	for _, tc := range []struct {
+		root      uint64
+		label     string
+		device    string
+		engine    string
+		skew      float64
+		valueSize int64
+		want      uint64
+	}{
+		{5, "l", "essd1", "lsm", 0.5, 1024, 0xda98c31076554c6d},
+		{6, "l", "essd1", "lsm", 0.5, 1024, 0x57d964ec06a40403},
+		{5, "m", "essd1", "lsm", 0.5, 1024, 0x26862f48f9bd1356},
+		{5, "l", "essd2", "lsm", 0.5, 1024, 0xcea7661e6e4df424},
+		{5, "l", "essd1", "pagestore", 0.5, 1024, 0x58251f077ad58e53},
+		{5, "l", "essd1", "lsm", 0.99, 1024, 0x0a4fae3d9d673457},
+		{5, "l", "essd1", "lsm", 0.5, 4096, 0x338daee5c11cda3e},
+	} {
+		if got := kvSeed(tc.root, tc.label, tc.device, tc.engine, tc.skew, tc.valueSize); got != tc.want {
+			t.Errorf("%+v: seed %016x", tc, got)
 		}
-		seen[v] = true
 	}
 }
 
@@ -146,18 +166,23 @@ func TestKVMixValidation(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid kv sweep rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(*Sweep){
-		"no hook":        func(s *Sweep) { s.KV = nil },
-		"no engines":     func(s *Sweep) { s.KVEngines = nil },
-		"empty engine":   func(s *Sweep) { s.KVEngines = []string{""} },
-		"no skews":       func(s *Sweep) { s.KVSkews = nil },
-		"skew too big":   func(s *Sweep) { s.KVSkews = []float64{1} },
-		"skew negative":  func(s *Sweep) { s.KVSkews = []float64{-0.1} },
-		"no value sizes": func(s *Sweep) { s.KVValueSizes = nil },
-		"bad value size": func(s *Sweep) { s.KVValueSizes = []int64{0} },
+	for name, mutate := range map[string]func(*KV){
+		"no hook":        func(k *KV) { k.Build = nil },
+		"no engines":     func(k *KV) { k.Engines = nil },
+		"empty engine":   func(k *KV) { k.Engines = []string{""} },
+		"no skews":       func(k *KV) { k.Skews = nil },
+		"skew too big":   func(k *KV) { k.Skews = []float64{1} },
+		"skew negative":  func(k *KV) { k.Skews = []float64{-0.1} },
+		"skew NaN":       func(k *KV) { k.Skews = []float64{0.5, math.NaN()} },
+		"skew +Inf":      func(k *KV) { k.Skews = []float64{math.Inf(1)} },
+		"skew -Inf":      func(k *KV) { k.Skews = []float64{math.Inf(-1)} },
+		"no value sizes": func(k *KV) { k.ValueSizes = nil },
+		"bad value size": func(k *KV) { k.ValueSizes = []int64{0} },
 	} {
+		k := kvKind()
+		mutate(&k)
 		s := kvSweep()
-		mutate(&s)
+		s.Kind = k
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: kv sweep accepted", name)
 		}

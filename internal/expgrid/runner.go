@@ -82,7 +82,7 @@ func (r Runner) Stream(ctx context.Context, sw Sweep) (<-chan CellResult, func()
 		close(out)
 		return out, func() error { return err }
 	}
-	sw = sw.withDefaults()
+	sw.fingerprint = sw.Fingerprint()
 	cells := sw.Cells()
 	workers := r.workers()
 	if workers > len(cells) {

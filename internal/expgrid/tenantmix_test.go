@@ -2,6 +2,7 @@ package expgrid
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -36,32 +37,38 @@ func tenantHook(c Cell) (*sim.Engine, []workload.Tenant) {
 	return eng, tenants
 }
 
-func tenantSweep() Sweep {
-	return Sweep{
-		Kind:            TenantMix,
-		Devices:         []NamedFactory{{Name: "shared"}},
+func tenantKind() Tenants {
+	return Tenants{
 		AggressorCounts: []int{0, 2},
 		RatesPerSec:     []float64{1000, 2000},
-		Tenants:         tenantHook,
-		Seed:            5,
-		Label:           "tenant-test",
+		Build:           tenantHook,
+	}
+}
+
+func tenantSweep() Sweep {
+	return Sweep{
+		Devices: []NamedFactory{{Name: "shared"}},
+		Kind:    tenantKind(),
+		Seed:    5,
+		Label:   "tenant-test",
 	}
 }
 
 // TestTenantMixEnumeration checks the tenant grid's shape, order, and
-// seed coordinates.
+// seed coordinates. The seeds are literal: changing one re-seeds the cell
+// and orphans its persisted cache entries.
 func TestTenantMixEnumeration(t *testing.T) {
 	cells := tenantSweep().Cells()
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(cells))
 	}
+	seeds := []uint64{0x8e33d9e1435aca32, 0xf42e2f67e22d49f4, 0x574b7dc6d20c1b97, 0x999fee1ce5eff3ce}
 	for i, c := range cells {
 		if c.Index != i {
 			t.Fatalf("cell %d has index %d", i, c.Index)
 		}
-		want := MixCellSeed(5, "tenant-test", "shared", c.Aggressors, c.RatePerSec, -1)
-		if c.Seed != want {
-			t.Fatalf("cell %d seed not coordinate-derived", i)
+		if c.Seed != seeds[i] || c.WriteRatioPct != -1 {
+			t.Fatalf("cell %d seed %016x ratio %d, pinned %016x and -1", i, c.Seed, c.WriteRatioPct, seeds[i])
 		}
 	}
 	if cells[0].Aggressors != 0 || cells[2].Aggressors != 2 {
@@ -107,15 +114,21 @@ func TestTenantMixValidation(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid tenant sweep rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(*Sweep){
-		"no hook":       func(s *Sweep) { s.Tenants = nil },
-		"no counts":     func(s *Sweep) { s.AggressorCounts = nil },
-		"no rates":      func(s *Sweep) { s.RatesPerSec = nil },
-		"bad rate":      func(s *Sweep) { s.RatesPerSec = []float64{0} },
-		"negative aggr": func(s *Sweep) { s.AggressorCounts = []int{-1} },
+	for name, mutate := range map[string]func(*Tenants){
+		"no hook":       func(k *Tenants) { k.Build = nil },
+		"no counts":     func(k *Tenants) { k.AggressorCounts = nil },
+		"no rates":      func(k *Tenants) { k.RatesPerSec = nil },
+		"bad rate":      func(k *Tenants) { k.RatesPerSec = []float64{0} },
+		"NaN rate":      func(k *Tenants) { k.RatesPerSec = []float64{1000, math.NaN()} },
+		"+Inf rate":     func(k *Tenants) { k.RatesPerSec = []float64{math.Inf(1)} },
+		"-Inf rate":     func(k *Tenants) { k.RatesPerSec = []float64{math.Inf(-1)} },
+		"negative aggr": func(k *Tenants) { k.AggressorCounts = []int{-1} },
+		"bad ratio":     func(k *Tenants) { k.WriteRatiosPct = []int{101} },
 	} {
+		k := tenantKind()
+		mutate(&k)
 		s := tenantSweep()
-		mutate(&s)
+		s.Kind = k
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: tenant sweep accepted", name)
 		}

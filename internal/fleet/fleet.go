@@ -245,7 +245,7 @@ type MixCell struct {
 	Members []Demand
 }
 
-// buildMix is the expgrid Tenants hook over explicit MixCells: it
+// buildMix is the expgrid Tenants Build hook over explicit MixCells: it
 // constructs one cell's shared backend and attaches the member demands'
 // volumes, every tenant preconditioned and seeded from the cell seed.
 func (s Spec) buildMix(cells []MixCell) func(c expgrid.Cell) (*sim.Engine, []workload.Tenant) {
@@ -288,7 +288,7 @@ type TenantInfo struct {
 	FabricUp    int64        `json:"fabric_up"`
 }
 
-// CellInfo is the InspectMix capture of one backend cell: the pooled debt
+// CellInfo is the Tenants Inspect capture of one backend cell: the pooled debt
 // plus per-tenant throttle state and attribution. JSON-round-trippable so
 // cached cells survive persistence (see decodeCellInfo). Exported so
 // callers driving MixSweep directly (the churn control plane) can type-
@@ -453,21 +453,6 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	assignments, err := s.place()
-	if err != nil {
-		return nil, err
-	}
-	defs, refs := s.cells(assignments)
-	results, err := expgrid.Runner{Workers: s.Workers}.Run(ctx, s.MixSweep(s.mixCells(defs)))
-	if err != nil {
-		return nil, err
-	}
-	return s.fold(defs, refs, assignments, results), nil
-}
-
-// place runs every policy over the demand catalog, returning each
-// policy's backend index per demand.
-func (s Spec) place() ([][]int, error) {
 	cons := s.constraints()
 	assignments := make([][]int, len(s.Policies))
 	for i, p := range s.Policies {
@@ -483,11 +468,7 @@ func (s Spec) place() ([][]int, error) {
 			}
 		}
 	}
-	return assignments, nil
-}
-
-// mixCells resolves cell definitions into the MixCells MixSweep simulates.
-func (s Spec) mixCells(defs []cellDef) []MixCell {
+	defs, refs := s.cells(assignments)
 	cells := make([]MixCell, len(defs))
 	for i, def := range defs {
 		members := make([]Demand, len(def.members))
@@ -496,11 +477,15 @@ func (s Spec) mixCells(defs []cellDef) []MixCell {
 		}
 		cells[i] = MixCell{Name: def.name, Solo: def.solo, Members: members}
 	}
-	return cells
+	results, err := expgrid.Runner{Workers: s.Workers}.Run(ctx, s.MixSweep(cells))
+	if err != nil {
+		return nil, err
+	}
+	return s.fold(defs, refs, assignments, results), nil
 }
 
 // MixSweep assembles the expgrid sweep that simulates the given cells
-// under the (normalized) spec's templates: one TenantMix cell per
+// under the (normalized) spec's templates: one expgrid.Tenants cell per
 // MixCell, built by buildMix, inspected into CellInfo. The spec's full
 // identity — budgets, horizon, templates, and the demand catalog — is
 // folded into the sweep label, so two specs share cache entries (and
@@ -537,18 +522,21 @@ func (s Spec) MixSweep(cells []MixCell) expgrid.Sweep {
 	}
 
 	sw := expgrid.Sweep{
-		Kind: expgrid.TenantMix,
 		// One cell per backend (and per solo control): the device axis
-		// names carry each cell's full membership.
-		AggressorCounts: []int{0},
-		RatesPerSec:     []float64{1},
-		Tenants:         s.buildMix(cells),
-		InspectMix:      inspectCell,
-		Cache:           s.Cache,
-		DecodeInfo:      decodeCellInfo,
-		Seed:            s.Seed,
-		Label:           label,
-		Variant:         variant,
+		// names carry each cell's full membership. The aggressor-count
+		// and rate axes are placeholders, kept because their values are
+		// hashed into every cell seed.
+		Kind: expgrid.Tenants{
+			AggressorCounts: []int{0},
+			RatesPerSec:     []float64{1},
+			Build:           s.buildMix(cells),
+			Inspect:         inspectCell,
+		},
+		Cache:      s.Cache,
+		DecodeInfo: decodeCellInfo,
+		Seed:       s.Seed,
+		Label:      label,
+		Variant:    variant,
 	}
 	for _, cell := range cells {
 		sw.Devices = append(sw.Devices, expgrid.NamedFactory{Name: cell.Name})

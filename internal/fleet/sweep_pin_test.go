@@ -19,12 +19,20 @@ func TestSweepPinned(t *testing.T) {
 		Seed:     7,
 		Label:    "fleet-golden",
 	}.withDefaults()
-	assignments, err := s.place()
-	if err != nil {
-		t.Fatal(err)
+	// Plan the cells as Run does: every policy places the catalog.
+	assignments := make([][]int, len(s.Policies))
+	for i, p := range s.Policies {
+		assignments[i] = p.Place(s.constraints(), s.Demands)
 	}
 	defs, _ := s.cells(assignments)
-	sw := s.MixSweep(s.mixCells(defs))
+	mix := make([]MixCell, len(defs))
+	for i, def := range defs {
+		for _, di := range def.members {
+			mix[i].Members = append(mix[i].Members, s.Demands[di])
+		}
+		mix[i].Name, mix[i].Solo = def.name, def.solo
+	}
+	sw := s.MixSweep(mix)
 	cells := sw.Cells()
 	got := fmt.Sprintf("fp=%016x cells=%d first=%016x last=%016x",
 		sw.Fingerprint(), len(cells), cells[0].Seed, cells[len(cells)-1].Seed)

@@ -45,15 +45,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// sweep builds the expgrid base of one experiment from the options: the
-// single-device axis, timing, and the experiment's seed label.
-func (o Options) sweep(factory Factory, label string) expgrid.Sweep {
+// sweep builds one experiment's closed-loop sweep from the options: the
+// single-device axis, the cell shape k timed by the options, and the
+// experiment's seed label.
+func (o Options) sweep(factory Factory, label string, k expgrid.Closed) expgrid.Sweep {
+	k.CellDuration, k.Warmup = o.CellDuration, o.Warmup
 	return expgrid.Sweep{
-		Devices:      expgrid.Devices("", factory),
-		CellDuration: o.CellDuration,
-		Warmup:       o.Warmup,
-		Seed:         o.Seed,
-		Label:        label,
+		Devices: expgrid.Devices("", factory),
+		Kind:    k,
+		Seed:    o.Seed,
+		Label:   label,
 	}
 }
 
@@ -146,11 +147,7 @@ func RunLatencyGridWith(factory Factory, patterns []workload.Pattern, sizes []in
 
 // latencyGridSweep is the Figure 2 cell shape over a custom grid.
 func latencyGridSweep(factory Factory, patterns []workload.Pattern, sizes []int64, qds []int, opts Options) expgrid.Sweep {
-	sw := opts.sweep(factory, "fig2")
-	sw.Patterns = patterns
-	sw.BlockSizes = sizes
-	sw.QueueDepths = qds
-	return sw
+	return opts.sweep(factory, "fig2", expgrid.Closed{Patterns: patterns, BlockSizes: sizes, QueueDepths: qds})
 }
 
 // SustainedResult is one device's Figure 3 trace.
@@ -191,23 +188,23 @@ type sustainedInfo struct {
 // QD 32 until capMultiple × capacity has been written, on a pristine
 // (not preconditioned) device.
 func sustainedSweep(opts Options, capMultiple float64) expgrid.Sweep {
-	sw := opts.sweep(nil, "fig3")
-	sw.Patterns = []workload.Pattern{workload.RandWrite}
-	sw.BlockSizes = []int64{128 << 10}
-	sw.QueueDepths = []int{32}
-	sw.CapMultiple = capMultiple
-	sw.Precondition = expgrid.PrecondNone
-	sw.Inspect = func(dev blockdev.Device, _ expgrid.Cell) any {
-		info := sustainedInfo{capacity: dev.Capacity(), writeAmp: 1}
-		if e, ok := dev.(interface{ Throttled() bool }); ok {
-			info.throttled = e.Throttled()
-		}
-		if s, ok := dev.(interface{ FTLWriteAmp() float64 }); ok {
-			info.writeAmp = s.FTLWriteAmp()
-		}
-		return info
-	}
-	return sw
+	return opts.sweep(nil, "fig3", expgrid.Closed{
+		Patterns:     []workload.Pattern{workload.RandWrite},
+		BlockSizes:   []int64{128 << 10},
+		QueueDepths:  []int{32},
+		CapMultiple:  capMultiple,
+		Precondition: expgrid.PrecondNone,
+		Inspect: func(dev blockdev.Device, _ expgrid.Cell) any {
+			info := sustainedInfo{capacity: dev.Capacity(), writeAmp: 1}
+			if e, ok := dev.(interface{ Throttled() bool }); ok {
+				info.throttled = e.Throttled()
+			}
+			if s, ok := dev.(interface{ FTLWriteAmp() float64 }); ok {
+				info.writeAmp = s.FTLWriteAmp()
+			}
+			return info
+		},
+	})
 }
 
 // foldSustained computes the Figure 3 knee/tail/peak statistics of one
@@ -316,12 +313,12 @@ func RunRandSeqSweep(factory Factory, opts Options) *RandSeqResult {
 // RunRandSeqSweepWith sweeps custom sizes and queue depths.
 func RunRandSeqSweepWith(factory Factory, sizes []int64, qds []int, opts Options) *RandSeqResult {
 	opts = opts.withDefaults()
-	sw := opts.sweep(factory, "fig4")
-	sw.Patterns = []workload.Pattern{workload.RandWrite, workload.SeqWrite}
-	sw.BlockSizes = sizes
-	sw.QueueDepths = qds
-	sw.Precondition = expgrid.PrecondWrites
-	results := opts.runGrid(sw)
+	results := opts.runGrid(opts.sweep(factory, "fig4", expgrid.Closed{
+		Patterns:     []workload.Pattern{workload.RandWrite, workload.SeqWrite},
+		BlockSizes:   sizes,
+		QueueDepths:  qds,
+		Precondition: expgrid.PrecondWrites,
+	}))
 	// Enumeration order is pattern-major: the first half of the results is
 	// the random sweep, the second half the sequential sweep, each in
 	// (size, qd) row-major order.
@@ -423,11 +420,12 @@ func (r *IOPSResult) IOPSSpread() float64 {
 // for IOPS".
 func RunIOPSSweep(factory Factory, sizes []int64, opts Options) *IOPSResult {
 	opts = opts.withDefaults()
-	sw := opts.sweep(factory, "o4-iops")
-	sw.Patterns = []workload.Pattern{workload.RandWrite}
-	sw.BlockSizes = sizes
-	sw.QueueDepths = []int{32}
-	sw.Precondition = expgrid.PrecondWrites
+	sw := opts.sweep(factory, "o4-iops", expgrid.Closed{
+		Patterns:     []workload.Pattern{workload.RandWrite},
+		BlockSizes:   sizes,
+		QueueDepths:  []int{32},
+		Precondition: expgrid.PrecondWrites,
+	})
 	out := &IOPSResult{}
 	for _, r := range opts.runGrid(sw) {
 		out.Device = r.Device
@@ -458,12 +456,13 @@ func RunMixedSweepWith(factory Factory, ratios []int, opts Options) *MixedResult
 	if opts.Warmup >= opts.CellDuration {
 		opts.Warmup = opts.CellDuration / 4
 	}
-	sw := opts.sweep(factory, "fig5")
-	sw.Patterns = []workload.Pattern{workload.Mixed}
-	sw.BlockSizes = []int64{128 << 10}
-	sw.QueueDepths = []int{32}
-	sw.WriteRatiosPct = ratios
-	sw.Precondition = expgrid.PrecondFull // full device so reads hit data
+	sw := opts.sweep(factory, "fig5", expgrid.Closed{
+		Patterns:       []workload.Pattern{workload.Mixed},
+		BlockSizes:     []int64{128 << 10},
+		QueueDepths:    []int{32},
+		WriteRatiosPct: ratios,
+		Precondition:   expgrid.PrecondFull, // full device so reads hit data
+	})
 	out := &MixedResult{}
 	for _, r := range opts.runGrid(sw) {
 		out.Device = r.Device

@@ -21,8 +21,8 @@ import (
 // The goldens below pin the CSV output of each expgrid kind's suites at
 // the settings of "ucexperiments -exp <suite> -quick" (seed 7), plus a
 // closed-loop grid through the local-SSD path and a fitted MSR trace
-// replay. They were captured before expgrid's per-kind switch was
-// replaced by the CellKind interface, which must leave every byte alone.
+// replay. A refactor of the sweep machinery must leave every byte alone;
+// rerun with -update only for an intended output change.
 
 // quickSeed is the ucexperiments default seed.
 const quickSeed = 7
@@ -142,12 +142,10 @@ func TestTraceReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := expgrid.Sweep{
-		Kind:     expgrid.TraceReplay,
-		Devices:  []expgrid.NamedFactory{cliFactory("essd1"), cliFactory("essd2")},
-		Trace:    recs,
-		FitTrace: true,
-		Seed:     1,
-		Label:    "essdbench-trace",
+		Devices: []expgrid.NamedFactory{cliFactory("essd1"), cliFactory("essd2")},
+		Kind:    expgrid.Replay{Trace: recs, Fit: true},
+		Seed:    1,
+		Label:   "essdbench-trace",
 	}
 	results, err := expgrid.Runner{Workers: 2}.Run(context.Background(), sw)
 	if err != nil {

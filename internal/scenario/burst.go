@@ -238,20 +238,21 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 // sweep declares the suite's expgrid grid from the (defaulted) settings.
 func (s BurstSweep) sweep() expgrid.Sweep {
 	return expgrid.Sweep{
-		Kind:           expgrid.Open,
-		Devices:        s.Devices,
-		Patterns:       []workload.Pattern{workload.Mixed},
-		BlockSizes:     []int64{s.BlockSize},
-		WriteRatiosPct: s.WriteRatiosPct,
-		Arrivals:       s.Arrivals,
-		RatesPerSec:    s.RatesPerSec,
-		OpenOps:        s.Ops,
-		Precondition:   expgrid.PrecondFull, // reads must hit data
-		Inspect:        InspectCredits,
-		Cache:          s.Cache,
-		DecodeInfo:     DecodeCreditInfo,
-		Seed:           s.Seed,
-		Label:          s.Label,
+		Devices: s.Devices,
+		Kind: expgrid.Open{
+			Patterns:       []workload.Pattern{workload.Mixed},
+			BlockSizes:     []int64{s.BlockSize},
+			WriteRatiosPct: s.WriteRatiosPct,
+			Arrivals:       s.Arrivals,
+			RatesPerSec:    s.RatesPerSec,
+			Ops:            s.Ops,
+			Precondition:   expgrid.PrecondFull, // reads must hit data
+			Inspect:        InspectCredits,
+		},
+		Cache:      s.Cache,
+		DecodeInfo: DecodeCreditInfo,
+		Seed:       s.Seed,
+		Label:      s.Label,
 	}
 }
 

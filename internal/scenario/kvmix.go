@@ -20,7 +20,7 @@ import (
 // designs) on its own elastic volume of one shared backend — driven by
 // open-loop zipfian point reads and writes inside one engine. The grid
 // sweeps engine design × key skew × value size × backend tier through the
-// expgrid KVMix kind; LSM flush/compaction bursts and page-store
+// expgrid.KV cell kind; LSM flush/compaction bursts and page-store
 // read-before-write misses are the natural aggressors, so the report
 // shows how an engine's background work inflates its neighbors' operation
 // tails on a shared fabric. Zero-valued fields take defaults.
@@ -122,7 +122,7 @@ func (s KVMixSweep) validate() error {
 // engine: s.Tenants fully preconditioned volumes attached to one backend
 // of the cell's tier, each carrying a storage engine of the cell's design
 // and an identical open-loop spec (per-tenant seeds decorrelate the
-// draws). It is the sweep's expgrid KV hook, exported so tests and
+// draws). It is the sweep's expgrid.KV Build hook, exported so tests and
 // studies can reproduce a single cell exactly.
 func (s KVMixSweep) BuildKV(c expgrid.Cell) (*sim.Engine, []kv.MixTenant) {
 	s = s.withDefaults()
@@ -180,7 +180,7 @@ type KVMixInfo struct {
 	Throttled  int   `json:"throttled"`   // tenants whose limiter engaged
 }
 
-// InspectKVMix is the expgrid InspectKV hook of the KV suite: it captures
+// InspectKVMix is the expgrid.KV Inspect hook of the KV suite: it captures
 // the shared backend's debt pool and per-tenant throttle engagement while
 // the cell's volumes are still alive.
 func InspectKVMix(tenants []kv.MixTenant, _ expgrid.Cell) any {
@@ -289,28 +289,28 @@ func (s KVMixSweep) sweep() expgrid.Sweep {
 	for _, tier := range s.Tiers {
 		devices = append(devices, expgrid.NamedFactory{Name: tier})
 	}
-	sw := expgrid.Sweep{
-		Kind:         expgrid.KVMix,
-		Devices:      devices,
-		KVEngines:    s.Engines,
-		KVSkews:      s.Skews,
-		KVValueSizes: s.ValueSizes,
-		KV:           s.BuildKV,
-		InspectKV:    InspectKVMix,
-		Cache:        s.Cache,
-		DecodeInfo:   DecodeKVMixInfo,
-		Seed:         s.Seed,
-	}
-	// The KV hook's inputs (tenant count, per-tenant shape, memtable
+	// The Build hook's inputs (tenant count, per-tenant shape, memtable
 	// scale) are invisible to the expgrid fingerprint, which only hashes
-	// Sweep fields. Fold them into the label so two KVMixSweeps share
-	// cache entries (and cell seeds) exactly when they would build
-	// identical tenant sets — the same contract the neighbor suite gives
-	// its Tenants hook.
-	sw.Label = fmt.Sprintf("%s|t%d@%g/%dops/rf%d/%s/ks%d/mb%d", s.Label,
-		s.Tenants, s.RatePerSec, s.OpsPerTenant, s.ReadFracPct,
-		s.Arrival, s.KeySpace, s.MemtableBytes)
-	return sw
+	// the sweep's and its kind's settings. Fold them into the label so two
+	// KVMixSweeps share cache entries (and cell seeds) exactly when they
+	// would build identical tenant sets — the same contract the neighbor
+	// suite gives its Build hook.
+	return expgrid.Sweep{
+		Devices: devices,
+		Kind: expgrid.KV{
+			Engines:    s.Engines,
+			Skews:      s.Skews,
+			ValueSizes: s.ValueSizes,
+			Build:      s.BuildKV,
+			Inspect:    InspectKVMix,
+		},
+		Cache:      s.Cache,
+		DecodeInfo: DecodeKVMixInfo,
+		Seed:       s.Seed,
+		Label: fmt.Sprintf("%s|t%d@%g/%dops/rf%d/%s/ks%d/mb%d", s.Label,
+			s.Tenants, s.RatePerSec, s.OpsPerTenant, s.ReadFracPct,
+			s.Arrival, s.KeySpace, s.MemtableBytes),
+	}
 }
 
 func foldKVMixCell(r expgrid.CellResult) KVMixCell {

@@ -126,7 +126,7 @@ func (s NeighborSweep) withDefaults() NeighborSweep {
 // fresh engine: a preconditioned victim volume plus c.Aggressors
 // preconditioned aggressor volumes, all attached to one
 // profiles.NeighborBackendConfig backend. It is the sweep's expgrid
-// Tenants hook, exported so tests and studies can reproduce a single cell
+// Tenants Build hook, exported so tests and studies can reproduce a single cell
 // exactly.
 func (s NeighborSweep) BuildTenants(c expgrid.Cell) (*sim.Engine, []workload.Tenant) {
 	s = s.withDefaults()
@@ -211,7 +211,7 @@ type NeighborInfo struct {
 	BudgetStall  sim.Duration `json:"stall"` // victim throughput-budget wait
 }
 
-// InspectNeighbors is the expgrid InspectMix hook of the neighbor suite:
+// InspectNeighbors is the expgrid Tenants Inspect hook of the neighbor suite:
 // it captures the victim's (tenants[0]) flow-limiter state and the shared
 // backend's per-volume debt and fabric attribution while the cell's
 // devices are still alive.
@@ -312,7 +312,7 @@ type NeighborReport struct {
 func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) {
 	s = s.withDefaults()
 	sw := s.sweep()
-	// Observability: wrap the Tenants hook so each cell gets its own
+	// Observability: wrap the Build hook so each cell gets its own
 	// tracer/prober capture (one writer per Cell.Index — race-free under
 	// any worker count), and force fresh simulations so every cell
 	// actually produces one.
@@ -323,13 +323,14 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 		}
 		sw.ForceRun = true
 		caps = make([]*obs.Capture, len(sw.Cells()))
-		inner := sw.Tenants
+		mix := sw.Kind.(expgrid.Tenants)
 		cfg := *s.Obs
-		sw.Tenants = func(c expgrid.Cell) (*sim.Engine, []workload.Tenant) {
-			eng, tenants := inner(c)
+		mix.Build = func(c expgrid.Cell) (*sim.Engine, []workload.Tenant) {
+			eng, tenants := s.BuildTenants(c)
 			caps[c.Index] = instrumentTenants(eng, tenants, neighborCellLabel(c), cfg)
 			return eng, tenants
 		}
+		sw.Kind = mix
 	}
 	results, err := expgrid.Runner{Workers: s.Workers, OnProgress: s.OnProgress}.Run(ctx, sw)
 	if err != nil {
@@ -387,24 +388,25 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 // without the observability wrapping RunNeighbor adds.
 func (s NeighborSweep) sweep() expgrid.Sweep {
 	sw := expgrid.Sweep{
-		Kind:            expgrid.TenantMix,
-		Devices:         []expgrid.NamedFactory{{Name: "shared"}},
-		AggressorCounts: s.AggressorCounts,
-		RatesPerSec:     s.AggressorRatesPerSec,
-		WriteRatiosPct:  s.AggressorWriteRatiosPct,
-		Tenants:         s.BuildTenants,
-		InspectMix:      InspectNeighbors,
-		Cache:           s.Cache,
-		DecodeInfo:      DecodeNeighborInfo,
-		Seed:            s.Seed,
-		Label:           s.Label,
+		Devices: []expgrid.NamedFactory{{Name: "shared"}},
+		Kind: expgrid.Tenants{
+			AggressorCounts: s.AggressorCounts,
+			RatesPerSec:     s.AggressorRatesPerSec,
+			WriteRatiosPct:  s.AggressorWriteRatiosPct,
+			Build:           s.BuildTenants,
+			Inspect:         InspectNeighbors,
+		},
+		Cache:      s.Cache,
+		DecodeInfo: DecodeNeighborInfo,
+		Seed:       s.Seed,
+		Label:      s.Label,
 	}
-	// The Tenants hook's inputs (victim shape, aggressor shape) are
-	// invisible to the expgrid fingerprint, which only hashes Sweep
-	// fields. Fold them into the label so two NeighborSweeps share cache
-	// entries (and cell seeds) exactly when they would build identical
-	// tenant mixes — the same contract BurstSweep gets from fingerprinted
-	// OpenOps/BlockSizes fields.
+	// The Build hook's inputs (victim shape, aggressor shape) are
+	// invisible to the expgrid fingerprint, which only hashes the sweep's
+	// and its kind's settings. Fold them into the label so two
+	// NeighborSweeps share cache entries (and cell seeds) exactly when
+	// they would build identical tenant mixes — the same contract
+	// BurstSweep gets from its fingerprinted Ops and block-size axis.
 	sw.Label = fmt.Sprintf("%s|v%d@%g/%dwr%d/%s|a%d/%s", s.Label,
 		s.VictimOps, s.VictimRatePerSec, s.VictimBlockSize,
 		s.VictimWriteRatioPct, s.VictimArrival,

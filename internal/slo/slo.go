@@ -385,28 +385,29 @@ func (s Search) probeSweep(rate float64) expgrid.Sweep {
 	if ops > s.MaxOps {
 		ops = s.MaxOps
 	}
-	sw := expgrid.Sweep{
-		Kind:                  expgrid.Open,
-		Devices:               []expgrid.NamedFactory{s.Device},
-		Patterns:              []workload.Pattern{s.Pattern},
-		BlockSizes:            []int64{s.BlockSize},
-		Arrivals:              []workload.Arrival{s.Arrival},
-		RatesPerSec:           []float64{rate},
-		OpenOps:               ops,
-		OpenSampleInterval:    s.Window,
-		OpenWindowPercentiles: true,
-		Precondition:          s.Precondition,
-		Inspect:               scenario.InspectCredits,
-		Cache:                 s.Cache,
-		DecodeInfo:            scenario.DecodeCreditInfo,
-		Seed:                  s.Seed,
-		Label:                 s.Label,
-		Variant:               s.Variant,
+	probe := expgrid.Open{
+		Patterns:          []workload.Pattern{s.Pattern},
+		BlockSizes:        []int64{s.BlockSize},
+		Arrivals:          []workload.Arrival{s.Arrival},
+		RatesPerSec:       []float64{rate},
+		Ops:               ops,
+		SampleInterval:    s.Window,
+		WindowPercentiles: true,
+		Precondition:      s.Precondition,
+		Inspect:           scenario.InspectCredits,
 	}
 	if s.Pattern == workload.Mixed {
-		sw.WriteRatiosPct = []int{s.WriteRatioPct}
+		probe.WriteRatiosPct = []int{s.WriteRatioPct}
 	}
-	return sw
+	return expgrid.Sweep{
+		Devices:    []expgrid.NamedFactory{s.Device},
+		Kind:       probe,
+		Cache:      s.Cache,
+		DecodeInfo: scenario.DecodeCreditInfo,
+		Seed:       s.Seed,
+		Label:      s.Label,
+		Variant:    s.Variant,
+	}
 }
 
 // Format writes a human-readable report: the two SLO-max rates, the credit

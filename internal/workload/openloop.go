@@ -98,8 +98,8 @@ func (s OpenSpec) Validate(dev blockdev.Device) error {
 	switch {
 	case s.BlockSize <= 0 || s.BlockSize%bs != 0:
 		return fmt.Errorf("workload: block size %d not a multiple of device block %d", s.BlockSize, bs)
-	case s.RatePerSec <= 0:
-		return fmt.Errorf("workload: rate must be positive")
+	case !(s.RatePerSec > 0 && s.RatePerSec < math.Inf(1)):
+		return fmt.Errorf("workload: rate %v must be finite and positive", s.RatePerSec)
 	case s.Count == 0:
 		return fmt.Errorf("workload: count must be positive")
 	case s.Pattern == Mixed && (s.WriteRatio < 0 || s.WriteRatio > 1):
