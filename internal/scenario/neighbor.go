@@ -399,18 +399,17 @@ func (s NeighborSweep) sweep() expgrid.Sweep {
 		Cache:      s.Cache,
 		DecodeInfo: DecodeNeighborInfo,
 		Seed:       s.Seed,
-		Label:      s.Label,
+		// The Build hook's inputs (victim shape, aggressor shape) are
+		// invisible to the expgrid fingerprint, which only hashes the
+		// sweep's and its kind's settings. Fold them into the label so two
+		// NeighborSweeps share cache entries (and cell seeds) exactly when
+		// they would build identical tenant mixes — the same contract
+		// BurstSweep gets from its fingerprinted Ops and block-size axis.
+		Label: fmt.Sprintf("%s|v%d@%g/%dwr%d/%s|a%d/%s", s.Label,
+			s.VictimOps, s.VictimRatePerSec, s.VictimBlockSize,
+			s.VictimWriteRatioPct, s.VictimArrival,
+			s.AggressorBlockSize, s.AggressorArrival),
 	}
-	// The Build hook's inputs (victim shape, aggressor shape) are
-	// invisible to the expgrid fingerprint, which only hashes the sweep's
-	// and its kind's settings. Fold them into the label so two
-	// NeighborSweeps share cache entries (and cell seeds) exactly when
-	// they would build identical tenant mixes — the same contract
-	// BurstSweep gets from its fingerprinted Ops and block-size axis.
-	sw.Label = fmt.Sprintf("%s|v%d@%g/%dwr%d/%s|a%d/%s", s.Label,
-		s.VictimOps, s.VictimRatePerSec, s.VictimBlockSize,
-		s.VictimWriteRatioPct, s.VictimArrival,
-		s.AggressorBlockSize, s.AggressorArrival)
 	// The isolation axis goes in the sweep Variant, not the label: each
 	// policy caches separately (the backend schedules differently) while
 	// the cell seeds — and hence every tenant's arrival draws — stay
