@@ -160,4 +160,22 @@ func TestCLIGoldenErrors(t *testing.T) {
 			t.Errorf("essdbench %s: exit %d, stderr %q; want exit 1 and an essdbench: diagnostic", args, code, stderr)
 		}
 	}
+	// A warmup at or past the runtime would measure nothing, and an empty
+	// list item is a typo: both fail before anything runs or prints.
+	for _, tc := range []struct{ args, want string }{
+		{"-device essd1 -rw randread -bs 4k -runtime 50ms", "warmup"},
+		{"-device essd1 -rw randread -bs 4k -runtime 100ms", "warmup"},
+		{"-device essd1,ssd -rw randread -bs 4k -runtime 50ms", "warmup"},
+		{"-device essd1 -rw randwrite,,write -bs 4k -runtime 200ms", "-rw: empty item"},
+		{"-device essd1, -rw randwrite,write -bs 4k -runtime 200ms", "-device: empty item"},
+		{"-device gp2,gp2s -rw randwrite -bs 256k -rate 1500, -ops 200", "-rate: empty item"},
+		{"-device gp2,gp2s -rw randwrite -bs 256k, -rate 1500 -ops 200", "-bs: empty item"},
+		{"-device essd1,essd2 -trace msr.csv -trace-format msr -device essd1,,essd2", "-device: empty item"},
+	} {
+		stdout, stderr, code := runCLI(t, dir, strings.Fields(tc.args)...)
+		if code != 1 || !strings.HasPrefix(stderr, "essdbench: ") || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("essdbench %s: exit %d, stdout %q, stderr %q; want exit 1, no output, and an essdbench: %s diagnostic",
+				tc.args, code, stdout, stderr, tc.want)
+		}
+	}
 }

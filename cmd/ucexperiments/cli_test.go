@@ -131,6 +131,9 @@ func TestCLIGoldenOutputs(t *testing.T) {
 // "ucexperiments:" line on stderr, never a panic or a silent success.
 func TestCLIGoldenErrors(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notadir"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range []string{
 		"-exp neighbor -isolation bogus",
 		"-exp churn -rebalance bogus",
@@ -145,6 +148,10 @@ func TestCLIGoldenErrors(t *testing.T) {
 		"-exp table1 stray-arg",
 		"-exp bogus",
 		"-exp neighbor -quick -aggr-arrival uniform",
+		"-exp burst -quick -out notadir/x",
+		"-exp kv -quick -kv-skews 0,,0.99",
+		"-exp kv -quick -kv-engines lsm,",
+		"-exp fleet -quick -fleet-policy spread,",
 	} {
 		_, stderr, code := runCLI(t, dir, strings.Fields(args)...)
 		if code != 1 || !strings.HasPrefix(stderr, "ucexperiments: ") {

@@ -47,6 +47,12 @@
 // many cells each suite skipped, reproducing the same measurements and
 // byte-identical -out CSV dumps.
 //
+// Comma-list flags (-kv-engines, -kv-skews, -kv-value-sizes, -kv-tiers,
+// -fleet-policy) reject an empty item ("0,,0.99" or a trailing comma) with
+// the flag named rather than dropping it. Every error, including an -out
+// directory that cannot be created or written, prints one
+// "ucexperiments: ..." line to stderr and exits with status 1.
+//
 // Examples:
 //
 //	ucexperiments -exp table1
@@ -69,37 +75,29 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"essdsim/internal/blockdev"
 	"essdsim/internal/churn"
+	"essdsim/internal/cli"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/fleet"
 	"essdsim/internal/harness"
 	"essdsim/internal/obs"
 	"essdsim/internal/profiles"
-	"essdsim/internal/profiling"
-	"essdsim/internal/qos"
 	"essdsim/internal/scenario"
 	"essdsim/internal/sim"
 	"essdsim/internal/slo"
-	"essdsim/internal/trace"
 	"essdsim/internal/workload"
 )
-
-// fatal prints the diagnostic to stderr and exits non-zero — every
-// user-facing error path goes through it rather than a raw panic.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ucexperiments: %v\n", err)
-	os.Exit(1)
-}
 
 func factory(name string, seed uint64) harness.Factory {
 	return func(s uint64) blockdev.Device {
@@ -112,13 +110,11 @@ func factory(name string, seed uint64) harness.Factory {
 }
 
 func main() {
+	fl := cli.Register("ucexperiments", 7)
 	var (
 		exp         = flag.String("exp", "all", "table1, fig2, fig3, fig4, fig5, burst, slo, neighbor, isolation, fleet, churn, kv, or all")
 		quick       = flag.Bool("quick", false, "reduced grids for a fast pass")
-		seed        = flag.Uint64("seed", 7, "deterministic seed")
 		out         = flag.String("out", "", "directory for raw CSV dumps (optional)")
-		workers     = flag.Int("workers", 0, "parallel experiment cells (0 = GOMAXPROCS)")
-		cacheFile   = flag.String("cache", "", "sweep-cache JSON file for burst/slo/neighbor/fleet/kv cells (loaded if present, saved on exit)")
 		sloP99      = flag.Duration("slo-p99", 20*time.Millisecond, "p99 target of the -exp slo search")
 		aggrArrival = flag.String("aggr-arrival", "bursty", "-exp neighbor aggressor arrival shape: bursty or poisson")
 		aggrTrace   = flag.String("aggr-trace", "", "-exp neighbor: fit aggressor rate/write-ratio/size from this trace file")
@@ -133,7 +129,6 @@ func main() {
 		churnRate   = flag.Float64("churn-rate", 1.5, "-exp churn mean lifecycle events per epoch (0 = static fleet)")
 		churnEpochs = flag.Int("churn-epochs", 6, "-exp churn control epochs")
 		rebalance   = flag.String("rebalance", "threshold", "-exp churn rebalancing policy: never, threshold, or drain")
-		isolation   = flag.String("isolation", "fifo", "-exp neighbor/fleet backend QoS policy: fifo, wfq, or reservation")
 		victimWt    = flag.Float64("victim-weight", 0, "-exp neighbor victim scheduling weight under wfq/reservation (0 = default 1)")
 		victimResv  = flag.Float64("victim-reserved-bps", 0, "-exp neighbor victim reserved bytes/s under -isolation reservation (0 = 2x victim offered)")
 		kvEngines   = flag.String("kv-engines", "lsm,pagestore", "-exp kv storage-engine designs (comma list of lsm, pagestore)")
@@ -143,71 +138,42 @@ func main() {
 		kvTenants   = flag.Int("kv-tenants", 3, "-exp kv tenants sharing each cell's backend")
 		kvRate      = flag.Float64("kv-rate", 4000, "-exp kv per-tenant offered op rate")
 		kvReadFrac  = flag.Int("kv-read-frac", 50, "-exp kv percentage of ops that are point reads (-1 = pure ingest)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		traceOut    = flag.String("trace-out", "", "-exp neighbor: write sampled request traces to this file (.json = Chrome trace events, else CSV)")
-		traceSample = flag.Int("trace-sample", 64, "trace every Nth request per volume when tracing is on")
-		probeOut    = flag.String("probe-out", "", "-exp neighbor: write state-probe series to this file (.json or CSV); requires -probe-interval")
-		probeIvl    = flag.Duration("probe-interval", 0, "simulated-time cadence of state probes (e.g. 10ms)")
 		explain     = flag.Bool("explain", false, "-exp neighbor: print the per-cell cliff-attribution report")
-		verbose     = flag.Bool("v", false, "print per-cell sweep progress (elapsed/ETA, cached counts) to stderr")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "ucexperiments: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(1)
-	}
-	obsWanted := *traceOut != "" || *probeOut != "" || *explain
-	if *traceSample < 1 {
-		fatal(fmt.Errorf("-trace-sample wants a positive count, got %d", *traceSample))
-	}
-	if *probeOut != "" && *probeIvl <= 0 {
-		fatal(fmt.Errorf("-probe-out requires a positive -probe-interval, got %s", *probeIvl))
-	}
+	fl.Parse()
+	obsWanted := fl.Capturing() || *explain
 	if obsWanted && !(*exp == "all" || *exp == "neighbor") {
-		fatal(fmt.Errorf("-trace-out/-probe-out/-explain apply to -exp neighbor, not -exp %s", *exp))
+		fl.Fatal(fmt.Errorf("-trace-out/-probe-out/-explain apply to -exp neighbor, not -exp %s", *exp))
 	}
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
-
-	isoPolicy, err := qos.ParseIsolationPolicy(*isolation)
-	if err != nil {
-		fatal(err)
-	}
-	iso := qos.Isolation{Policy: isoPolicy}
-
-	var cache *expgrid.Cache
-	if *cacheFile != "" {
-		cache = expgrid.NewCache(0)
-		if err := cache.LoadFile(*cacheFile); err != nil {
-			fatal(err)
+	// dump writes one -out CSV file through write; it does nothing
+	// without -out.
+	dump := func(name string, write func(io.Writer) error) {
+		if *out == "" {
+			return
+		}
+		err := os.MkdirAll(*out, 0o755)
+		if err == nil {
+			err = cli.WriteFile(filepath.Join(*out, name), write)
+		}
+		if err != nil {
+			fl.Fatal(fmt.Errorf("-out: %w", err))
 		}
 	}
 
-	// progress returns the -v per-cell progress callback for one suite
-	// (nil when -v is off): "neighbor: 12/40 cells (3 cached) elapsed 1.2s
-	// eta 2.8s" on stderr, so stdout stays machine-comparable.
-	progress := func(suite string) func(expgrid.Progress) {
-		if !*verbose {
-			return nil
-		}
-		return func(p expgrid.Progress) {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", suite, p)
-		}
+	dumpFleet := func(rep *fleet.Report) {
+		dump("fleet_backends.csv", func(w io.Writer) error { return fleet.WriteBackendsCSV(w, rep) })
+		dump("fleet_tenants.csv", func(w io.Writer) error { return fleet.WriteTenantsCSV(w, rep) })
 	}
 
-	opts := harness.Options{Seed: *seed, Workers: *workers}
+	opts := harness.Options{Seed: fl.Seed, Workers: fl.Workers}
 	if *quick {
 		opts.CellDuration = 150 * sim.Millisecond
 		opts.Warmup = 30 * sim.Millisecond
 	}
-	essd1 := factory("essd1", *seed)
-	essd2 := factory("essd2", *seed)
-	ssd := factory("ssd", *seed)
+	essd1 := factory("essd1", fl.Seed)
+	essd2 := factory("essd2", fl.Seed)
+	ssd := factory("ssd", fl.Seed)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
@@ -231,9 +197,7 @@ func main() {
 			fmt.Println()
 			harness.FormatFig2(os.Stdout, grid, ssdGrid, harness.MetricP999)
 			fmt.Println()
-			if *out != "" {
-				dumpGridCSV(*out, fmt.Sprintf("fig2_essd%d.csv", i+1), grid, ssdGrid)
-			}
+			dump(fmt.Sprintf("fig2_essd%d.csv", i+1), func(w io.Writer) error { return harness.WriteFig2CSV(w, grid, ssdGrid) })
 		}
 	}
 	if want("fig3") {
@@ -249,9 +213,7 @@ func main() {
 		}, mult, opts)
 		harness.FormatFig3(os.Stdout, results)
 		fmt.Println()
-		if *out != "" {
-			dumpFig3CSV(*out, results)
-		}
+		dump("fig3.csv", func(w io.Writer) error { return harness.WriteFig3CSV(w, results) })
 	}
 	if want("fig4") {
 		ran = true
@@ -265,9 +227,7 @@ func main() {
 		}
 		harness.FormatFig4(os.Stdout, results)
 		fmt.Println()
-		if *out != "" {
-			dumpFig4CSV(*out, results)
-		}
+		dump("fig4.csv", func(w io.Writer) error { return harness.WriteFig4CSV(w, results) })
 	}
 	if want("fig5") {
 		ran = true
@@ -280,21 +240,19 @@ func main() {
 			results = append(results, harness.RunMixedSweepWith(f, ratios, opts))
 		}
 		harness.FormatFig5(os.Stdout, results)
-		if *out != "" {
-			dumpFig5CSV(*out, results)
-		}
+		dump("fig5.csv", func(w io.Writer) error { return harness.WriteFig5CSV(w, results) })
 	}
 	if want("burst") {
 		ran = true
 		sweep := scenario.BurstSweep{
 			Devices: []expgrid.NamedFactory{
-				{Name: "gp2", New: factory("gp2", *seed)},
-				{Name: "gp2s", New: factory("gp2s", *seed)},
+				{Name: "gp2", New: factory("gp2", fl.Seed)},
+				{Name: "gp2s", New: factory("gp2s", fl.Seed)},
 			},
-			Cache:      cache,
-			Seed:       *seed,
-			Workers:    *workers,
-			OnProgress: progress("burst"),
+			Cache:      fl.Cache,
+			Seed:       fl.Seed,
+			Workers:    fl.Workers,
+			OnProgress: fl.Progress("burst"),
 		}
 		if *quick {
 			sweep.WriteRatiosPct = []int{0, 50, 100}
@@ -303,40 +261,33 @@ func main() {
 		}
 		rep, err := scenario.RunBurst(context.Background(), sweep)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		fmt.Println("--- Burst-credit scenario (Observation #4, burstable tiers) ---")
 		scenario.FormatBurst(os.Stdout, rep)
-		if cache != nil {
-			fmt.Printf("burst: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, len(rep.Cells))
-		}
+		fl.Skipped("burst: ", rep.CachedCells, len(rep.Cells))
 		fmt.Println()
-		if *out != "" {
-			dumpBurstCSV(*out, rep)
-		}
+		dump("burst_cells.csv", func(w io.Writer) error { return scenario.WriteBurstCSV(w, rep) })
+		dump("burst_timeline.csv", func(w io.Writer) error { return scenario.WriteBurstTimelineCSV(w, rep) })
 	}
 	if want("neighbor") {
 		ran = true
 		arr, err := workload.ParseArrival(*aggrArrival)
 		if err != nil || arr == workload.Uniform {
-			fmt.Fprintf(os.Stderr, "ucexperiments: -aggr-arrival wants bursty or poisson, got %q\n", *aggrArrival)
-			os.Exit(1)
+			fl.Fatal(fmt.Errorf("-aggr-arrival wants bursty or poisson, got %q", *aggrArrival))
 		}
 		sweep := scenario.NeighborSweep{
 			AggressorArrival:   arr,
-			Cache:              cache,
-			Seed:               *seed,
-			Workers:            *workers,
-			Isolation:          iso,
+			Cache:              fl.Cache,
+			Seed:               fl.Seed,
+			Workers:            fl.Workers,
+			Isolation:          fl.Isolation,
 			VictimWeight:       *victimWt,
 			VictimReservedRate: *victimResv,
-			OnProgress:         progress("neighbor"),
+			OnProgress:         fl.Progress("neighbor"),
 		}
 		if obsWanted {
-			sweep.Obs = &obs.Config{
-				SampleEvery:   *traceSample,
-				ProbeInterval: sim.Duration(probeIvl.Nanoseconds()),
-			}
+			sweep.Obs = &fl.Obs
 		}
 		if *quick {
 			sweep.AggressorCounts = []int{0, 2, 4}
@@ -347,14 +298,14 @@ func main() {
 			// Real-trace aggressors: fit the records onto the neighbor
 			// volume geometry and drive the aggressor axis from the
 			// fitted demand instead of the synthetic defaults.
-			recs, err := readTraceFile(*aggrTrace, *aggrTraceF)
+			recs, err := cli.ReadTrace(*aggrTrace, *aggrTraceF)
 			if err != nil {
-				fatal(err)
+				fl.Fatal(err)
 			}
 			vcfg := profiles.NeighborVolumeConfig("aggr")
 			d, err := fleet.DemandFromTrace("aggr", recs, vcfg.Capacity, vcfg.BlockSize)
 			if err != nil {
-				fatal(fmt.Errorf("-aggr-trace %s: %w", *aggrTrace, err))
+				fl.Fatal(fmt.Errorf("-aggr-trace %s: %w", *aggrTrace, err))
 			}
 			sweep.AggressorRatesPerSec = []float64{d.RatePerSec}
 			sweep.AggressorWriteRatiosPct = []int{d.WriteRatioPct}
@@ -364,63 +315,48 @@ func main() {
 		}
 		rep, err := scenario.RunNeighbor(context.Background(), sweep)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		fmt.Println("--- Noisy-neighbor scenario (shared backend, cross-tenant contract) ---")
 		scenario.FormatNeighbor(os.Stdout, rep)
-		if cache != nil {
-			fmt.Printf("neighbor: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, len(rep.Cells))
-		}
+		fl.Skipped("neighbor: ", rep.CachedCells, len(rep.Cells))
 		if *explain {
 			obs.FormatExplanations(os.Stdout, rep.Explanations)
 		}
-		if *traceOut != "" {
-			if err := writeTraceFile(*traceOut, rep.Captures); err != nil {
-				fatal(err)
-			}
-		}
-		if *probeOut != "" {
-			if err := writeProbeFile(*probeOut, rep.Captures); err != nil {
-				fatal(err)
-			}
+		if err := fl.WriteObs(rep.Captures...); err != nil {
+			fl.Fatal(err)
 		}
 		fmt.Println()
-		if *out != "" {
-			dumpNeighborCSV(*out, rep)
-		}
+		dump("neighbor_cells.csv", func(w io.Writer) error { return scenario.WriteNeighborCSV(w, rep) })
 	}
 	if want("isolation") {
 		ran = true
-		cmp := scenario.IsolationComparison{Sweep: scenario.NeighborSweep{
-			Cache:              cache,
-			Seed:               *seed,
-			Workers:            *workers,
+		comparison := scenario.IsolationComparison{Sweep: scenario.NeighborSweep{
+			Cache:              fl.Cache,
+			Seed:               fl.Seed,
+			Workers:            fl.Workers,
 			VictimWeight:       *victimWt,
 			VictimReservedRate: *victimResv,
-			OnProgress:         progress("isolation"),
+			OnProgress:         fl.Progress("isolation"),
 		}}
 		if *quick {
-			cmp.Sweep.AggressorCounts = []int{0, 2, 4}
-			cmp.Sweep.AggressorRatesPerSec = []float64{1600}
-			cmp.Sweep.VictimOps = 1200
+			comparison.Sweep.AggressorCounts = []int{0, 2, 4}
+			comparison.Sweep.AggressorRatesPerSec = []float64{1600}
+			comparison.Sweep.VictimOps = 1200
 		}
-		rep, err := scenario.RunIsolationComparison(context.Background(), cmp)
+		rep, err := scenario.RunIsolationComparison(context.Background(), comparison)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		fmt.Println("--- QoS isolation comparison (per-tenant scheduling on the shared backend) ---")
 		scenario.FormatIsolation(os.Stdout, rep)
-		if cache != nil {
-			cells := 0
-			for _, v := range rep.Variants {
-				cells += len(v.Report.Cells)
-			}
-			fmt.Printf("isolation: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, cells)
+		cells := 0
+		for _, v := range rep.Variants {
+			cells += len(v.Report.Cells)
 		}
+		fl.Skipped("isolation: ", rep.CachedCells, cells)
 		fmt.Println()
-		if *out != "" {
-			dumpIsolationCSV(*out, rep)
-		}
+		dump("isolation_comparison.csv", func(w io.Writer) error { return scenario.WriteIsolationCSV(w, rep) })
 	}
 	if want("fleet") {
 		ran = true
@@ -430,46 +366,42 @@ func main() {
 		}
 		policies, err := parseFleetPolicies(*fleetPolicy)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		spec := fleet.Spec{
 			Demands:  fleet.SyntheticDemands(tenants, aggressors),
 			Policies: policies,
 			Backends: *fleetBack,
 			SLOP999:  sim.Duration(fleetP999.Nanoseconds()),
-			Cache:    cache,
-			Seed:     *seed,
-			Workers:  *workers,
+			Cache:    fl.Cache,
+			Seed:     fl.Seed,
+			Workers:  fl.Workers,
 		}
-		spec.Backend.Isolation = iso
+		spec.Backend.Isolation = fl.Isolation
 		if *fleetScreen {
 			srep, err := fleet.Screen(context.Background(), fleet.ScreenSpec{
 				Spec:       spec,
 				Candidates: *fleetCands,
 			})
 			if err != nil {
-				fatal(err)
+				fl.Fatal(err)
 			}
 			fmt.Println("--- Fleet tenant packing (two-fidelity analytic screen) ---")
 			fleet.FormatScreen(os.Stdout, srep)
 			fmt.Println()
-			if *out != "" && srep.Simulated != nil {
-				dumpFleetCSV(*out, srep.Simulated)
+			if srep.Simulated != nil {
+				dumpFleet(srep.Simulated)
 			}
 		} else {
 			rep, err := fleet.Run(context.Background(), spec)
 			if err != nil {
-				fatal(err)
+				fl.Fatal(err)
 			}
 			fmt.Println("--- Fleet tenant packing (placement policies over shared backends) ---")
 			fleet.Format(os.Stdout, rep)
-			if cache != nil {
-				fmt.Printf("fleet: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, rep.Cells)
-			}
+			fl.Skipped("fleet: ", rep.CachedCells, rep.Cells)
 			fmt.Println()
-			if *out != "" {
-				dumpFleetCSV(*out, rep)
-			}
+			dumpFleet(rep)
 		}
 	}
 	if want("churn") {
@@ -484,11 +416,11 @@ func main() {
 		}
 		policies, err := parseFleetPolicies(*fleetPolicy)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		rb, err := churn.RebalancerByName(*rebalance)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		spec := churn.Spec{
 			Fleet: fleet.Spec{
@@ -496,49 +428,37 @@ func main() {
 				Policies: policies,
 				Backends: *fleetBack,
 				SLOP999:  sim.Duration(fleetP999.Nanoseconds()),
-				Cache:    cache,
-				Seed:     *seed,
-				Workers:  *workers,
+				Cache:    fl.Cache,
+				Seed:     fl.Seed,
+				Workers:  fl.Workers,
 			},
 			Epochs:     epochs,
 			ChurnRate:  *churnRate,
 			Rebalancer: rb,
 		}
-		spec.Fleet.Backend.Isolation = iso
+		spec.Fleet.Backend.Isolation = fl.Isolation
 		if *quick {
 			spec.Fleet.Horizon = 500 * sim.Millisecond
 		}
 		rep, err := churn.Run(context.Background(), spec)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		fmt.Println("--- Fleet churn (lifecycle events, online placement, rebalancing) ---")
 		churn.Format(os.Stdout, rep)
-		if cache != nil {
-			fmt.Printf("churn: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, rep.Cells)
-		}
+		fl.Skipped("churn: ", rep.CachedCells, rep.Cells)
 		fmt.Println()
-		if *out != "" {
-			dumpChurnCSV(*out, rep)
-		}
+		dump("fleet_churn_epochs.csv", func(w io.Writer) error { return churn.WriteEpochsCSV(w, rep) })
+		dump("fleet_churn_events.csv", func(w io.Writer) error { return churn.WriteEventsCSV(w, rep) })
 	}
 	if want("kv") {
 		ran = true
-		engines, err := splitList(*kvEngines)
-		if err != nil {
-			fatal(fmt.Errorf("-kv-engines: %w", err))
-		}
-		skews, err := parseList(*kvSkews, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
-		if err != nil {
-			fatal(fmt.Errorf("-kv-skews: %w", err))
-		}
-		valSizes, err := parseList(*kvValSizes, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
-		if err != nil {
-			fatal(fmt.Errorf("-kv-value-sizes: %w", err))
-		}
-		tiers, err := splitList(*kvTiers)
-		if err != nil {
-			fatal(fmt.Errorf("-kv-tiers: %w", err))
+		engines, err1 := cli.Strings("kv-engines", *kvEngines)
+		skews, err2 := cli.List("kv-skews", *kvSkews, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		valSizes, err3 := cli.List("kv-value-sizes", *kvValSizes, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+		tiers, err4 := cli.Strings("kv-tiers", *kvTiers)
+		if err := cmp.Or(err1, err2, err3, err4); err != nil {
+			fl.Fatal(err)
 		}
 		sweep := scenario.KVMixSweep{
 			Engines:     engines,
@@ -548,10 +468,10 @@ func main() {
 			Tenants:     *kvTenants,
 			RatePerSec:  *kvRate,
 			ReadFracPct: *kvReadFrac,
-			Cache:       cache,
-			Seed:        *seed,
-			Workers:     *workers,
-			OnProgress:  progress("kv"),
+			Cache:       fl.Cache,
+			Seed:        fl.Seed,
+			Workers:     fl.Workers,
+			OnProgress:  fl.Progress("kv"),
 		}
 		if *quick {
 			sweep.Tenants = 2
@@ -559,28 +479,24 @@ func main() {
 		}
 		rep, err := scenario.RunKVMix(context.Background(), sweep)
 		if err != nil {
-			fatal(err)
+			fl.Fatal(err)
 		}
 		fmt.Println("--- KV tenant mix (storage engines on shared elastic volumes) ---")
 		scenario.FormatKVMix(os.Stdout, rep)
-		if cache != nil {
-			fmt.Printf("kv: %d of %d cells skipped (cache-warm)\n", rep.CachedCells, len(rep.Cells))
-		}
+		fl.Skipped("kv: ", rep.CachedCells, len(rep.Cells))
 		fmt.Println()
-		if *out != "" {
-			dumpKVCSV(*out, rep)
-		}
+		dump("kv_cells.csv", func(w io.Writer) error { return scenario.WriteKVCSV(w, rep) })
 	}
 	if want("slo") {
 		ran = true
 		fmt.Println("--- Latency-SLO search (highest rate meeting the target) ---")
 		for _, name := range []string{"gp2", "gp2s"} {
 			search := slo.Search{
-				Device:  expgrid.NamedFactory{Name: name, New: factory(name, *seed)},
+				Device:  expgrid.NamedFactory{Name: name, New: factory(name, fl.Seed)},
 				Pattern: workload.RandWrite,
 				Target:  slo.Target{P99: sim.Duration(sloP99.Nanoseconds())},
-				Cache:   cache,
-				Seed:    *seed,
+				Cache:   fl.Cache,
+				Seed:    fl.Seed,
 			}
 			if *quick {
 				search.MaxRate = 3000
@@ -589,113 +505,21 @@ func main() {
 			}
 			rep, err := slo.Run(context.Background(), search)
 			if err != nil {
-				fatal(err)
+				fl.Fatal(err)
 			}
 			slo.Format(os.Stdout, rep)
 			fmt.Println()
-			if *out != "" {
-				dumpSLOCSV(*out, name, rep)
-			}
+			dump(fmt.Sprintf("slo_probes_%s.csv", name), func(w io.Writer) error { return slo.WriteProbesCSV(w, rep) })
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "ucexperiments: unknown -exp %q\n", *exp)
-		os.Exit(1)
+		fl.Fatal(fmt.Errorf("unknown -exp %q", *exp))
 	}
-	if cache != nil {
-		if err := cache.SaveFile(*cacheFile); err != nil {
-			fatal(err)
-		}
-		hits, misses := cache.Stats()
+	fl.Close()
+	if fl.Cache != nil {
+		hits, misses := fl.Cache.Stats()
 		fmt.Printf("sweep cache: %d entries, %d hits, %d cells simulated (%s)\n",
-			cache.Len(), hits, misses, *cacheFile)
-	}
-}
-
-// writeTraceFile dumps the captures' sampled request spans to path:
-// Chrome trace-event JSON (Perfetto-loadable) when the path ends in
-// .json, the docs/formats.md trace CSV otherwise.
-func writeTraceFile(path string, caps []*obs.Capture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = obs.WriteTraceEvents(f, caps)
-	} else {
-		err = obs.WriteTraceCSV(f, caps)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeProbeFile dumps the captures' state-probe series to path: JSON
-// when the path ends in .json, the docs/formats.md probe CSV otherwise.
-func writeProbeFile(path string, caps []*obs.Capture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = obs.WriteProbesJSON(f, caps)
-	} else {
-		err = obs.WriteProbesCSV(f, caps)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// readTraceFile reads a trace file in the named format.
-func readTraceFile(file, format string) ([]trace.Record, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadFormat(f, format)
-}
-
-// splitList parses a comma-separated flag into trimmed non-empty items.
-func splitList(s string) ([]string, error) {
-	var out []string
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		out = append(out, item)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-// parseList parses a comma-separated flag, each item through parse.
-func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	items, err := splitList(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(items))
-	for i, item := range items {
-		if out[i], err = parse(item); err != nil {
-			return nil, fmt.Errorf("bad value %q", item)
-		}
-	}
-	return out, nil
-}
-
-// dumpKVCSV writes the KV tenant-mix per-cell table under dir.
-func dumpKVCSV(dir string, rep *scenario.KVMixReport) {
-	f := csvFile(dir, "kv_cells.csv")
-	defer f.Close()
-	if err := scenario.WriteKVCSV(f, rep); err != nil {
-		panic(err)
+			fl.Cache.Len(), hits, misses, fl.CacheFile)
 	}
 }
 
@@ -704,121 +528,5 @@ func parseFleetPolicies(s string) ([]fleet.PlacementPolicy, error) {
 	if s == "all" || s == "" {
 		return fleet.DefaultPolicies(), nil
 	}
-	var out []fleet.PlacementPolicy
-	for _, name := range strings.Split(s, ",") {
-		p, err := fleet.PolicyByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// dumpChurnCSV writes the churn study's epoch time series and event
-// audit trail under dir.
-func dumpChurnCSV(dir string, rep *churn.Report) {
-	f := csvFile(dir, "fleet_churn_epochs.csv")
-	if err := churn.WriteEpochsCSV(f, rep); err != nil {
-		panic(err)
-	}
-	f.Close()
-	f = csvFile(dir, "fleet_churn_events.csv")
-	defer f.Close()
-	if err := churn.WriteEventsCSV(f, rep); err != nil {
-		panic(err)
-	}
-}
-
-func csvFile(dir, name string) *os.File {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		panic(err)
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-func dumpGridCSV(dir, name string, essd, ssd *harness.LatencyGrid) {
-	f := csvFile(dir, name)
-	defer f.Close()
-	if err := harness.WriteFig2CSV(f, essd, ssd); err != nil {
-		panic(err)
-	}
-}
-
-func dumpFig3CSV(dir string, results []*harness.SustainedResult) {
-	f := csvFile(dir, "fig3.csv")
-	defer f.Close()
-	if err := harness.WriteFig3CSV(f, results); err != nil {
-		panic(err)
-	}
-}
-
-func dumpFig4CSV(dir string, results []*harness.RandSeqResult) {
-	f := csvFile(dir, "fig4.csv")
-	defer f.Close()
-	if err := harness.WriteFig4CSV(f, results); err != nil {
-		panic(err)
-	}
-}
-
-func dumpFig5CSV(dir string, results []*harness.MixedResult) {
-	f := csvFile(dir, "fig5.csv")
-	defer f.Close()
-	if err := harness.WriteFig5CSV(f, results); err != nil {
-		panic(err)
-	}
-}
-
-func dumpBurstCSV(dir string, rep *scenario.BurstReport) {
-	f := csvFile(dir, "burst_cells.csv")
-	if err := scenario.WriteBurstCSV(f, rep); err != nil {
-		panic(err)
-	}
-	f.Close()
-	f = csvFile(dir, "burst_timeline.csv")
-	defer f.Close()
-	if err := scenario.WriteBurstTimelineCSV(f, rep); err != nil {
-		panic(err)
-	}
-}
-
-func dumpNeighborCSV(dir string, rep *scenario.NeighborReport) {
-	f := csvFile(dir, "neighbor_cells.csv")
-	defer f.Close()
-	if err := scenario.WriteNeighborCSV(f, rep); err != nil {
-		panic(err)
-	}
-}
-
-func dumpIsolationCSV(dir string, rep *scenario.IsolationReport) {
-	f := csvFile(dir, "isolation_comparison.csv")
-	defer f.Close()
-	if err := scenario.WriteIsolationCSV(f, rep); err != nil {
-		panic(err)
-	}
-}
-
-func dumpFleetCSV(dir string, rep *fleet.Report) {
-	f := csvFile(dir, "fleet_backends.csv")
-	if err := fleet.WriteBackendsCSV(f, rep); err != nil {
-		panic(err)
-	}
-	f.Close()
-	f = csvFile(dir, "fleet_tenants.csv")
-	defer f.Close()
-	if err := fleet.WriteTenantsCSV(f, rep); err != nil {
-		panic(err)
-	}
-}
-
-func dumpSLOCSV(dir, device string, rep *slo.Report) {
-	f := csvFile(dir, fmt.Sprintf("slo_probes_%s.csv", device))
-	defer f.Close()
-	if err := slo.WriteProbesCSV(f, rep); err != nil {
-		panic(err)
-	}
+	return cli.List("fleet-policy", s, fleet.PolicyByName)
 }

@@ -57,7 +57,6 @@ package essdsim
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"essdsim/internal/blockdev"
@@ -936,21 +935,7 @@ type (
 // volume's gauges). Non-elastic devices (the local SSD) have no backend
 // or QoS state to observe and are rejected.
 func InstrumentDevice(dev Device, label string, cfg *ObsConfig) (*ObsCapture, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e, ok := dev.(*essd.ESSD)
-	if !ok {
-		return nil, fmt.Errorf("observability needs an elastic (essd-class) device; %s has no backend to trace", dev.Name())
-	}
-	cap := &ObsCapture{Label: label, Tracer: obs.NewTracer(cfg.SampleEvery)}
-	e.SetTracer(cap.Tracer)
-	if cfg.ProbeInterval > 0 {
-		cap.Prober = obs.NewProber(cfg.ProbeInterval)
-		e.Backend().InstallProbes(cap.Prober)
-		cap.Prober.Attach(e.Engine())
-	}
-	return cap, nil
+	return essd.Instrument(label, *cfg, dev)
 }
 
 // WriteTraceCSV dumps the captures' sampled request spans as CSV; see

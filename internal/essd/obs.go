@@ -5,7 +5,47 @@ package essd
 // without SetTracer pays one nil branch per Submit, and probes only
 // exist when a harness installs them.
 
-import "essdsim/internal/obs"
+import (
+	"fmt"
+
+	"essdsim/internal/blockdev"
+	"essdsim/internal/obs"
+)
+
+// Instrument attaches one observability capture to devices built on one
+// engine: a tracer sampling every cfg.SampleEvery-th request on each
+// elastic volume among devs and, when cfg.ProbeInterval is positive, a
+// prober over the first such volume's shared backend (cluster debt and
+// node queues, fabric backlogs, every attached volume's gauges). It must
+// run before the first request is issued: tracer sampling counts requests
+// per volume from zero, and the prober's first sample lands at
+// t=interval. Devices that are not elastic volumes (the local SSD) have
+// no backend or QoS state to observe and are skipped; it is an error
+// when none is elastic.
+func Instrument(label string, cfg obs.Config, devs ...blockdev.Device) (*obs.Capture, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cap := &obs.Capture{Label: label, Tracer: obs.NewTracer(cfg.SampleEvery)}
+	var first *ESSD
+	for _, d := range devs {
+		if e, ok := d.(*ESSD); ok {
+			e.SetTracer(cap.Tracer)
+			if first == nil {
+				first = e
+			}
+		}
+	}
+	if first == nil {
+		return nil, fmt.Errorf("observability needs an elastic (essd-class) device; %s has no backend to trace", label)
+	}
+	if cfg.ProbeInterval > 0 {
+		cap.Prober = obs.NewProber(cfg.ProbeInterval)
+		first.be.InstallProbes(cap.Prober)
+		cap.Prober.Attach(first.eng)
+	}
+	return cap, nil
+}
 
 // SetTracer attaches a request tracer to the volume: Submit then offers
 // every request to the tracer's deterministic sampler, and sampled

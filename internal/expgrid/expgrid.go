@@ -62,6 +62,20 @@ func Precondition(dev blockdev.Device, forWrites bool) {
 	}
 }
 
+// Apply prepares dev for a measurement per the mode: auto gives write
+// workloads (writes) the half fill and every other workload a full one,
+// and none leaves the device pristine.
+func (m Precond) Apply(dev blockdev.Device, writes bool) {
+	switch m {
+	case PrecondAuto:
+		Precondition(dev, writes)
+	case PrecondWrites:
+		Precondition(dev, true)
+	case PrecondFull:
+		Precondition(dev, false)
+	}
+}
+
 // CellKind is the workload family a sweep's cells run: Closed, Open,
 // Replay, Tenants, or KV. Each kind carries only its own axes, settings,
 // and hooks, and its methods validate those axes, enumerate one device's

@@ -282,12 +282,14 @@ func TestValidate(t *testing.T) {
 // to reach workload.Run unchecked).
 func TestValidateAxisValues(t *testing.T) {
 	for name, mutate := range map[string]func(*Closed){
-		"zero block size":     func(k *Closed) { k.BlockSizes = []int64{4 << 10, 0} },
-		"negative block size": func(k *Closed) { k.BlockSizes = []int64{-4096} },
-		"zero queue depth":    func(k *Closed) { k.QueueDepths = []int{0} },
-		"negative depth":      func(k *Closed) { k.QueueDepths = []int{1, -2} },
-		"ratio above 100":     func(k *Closed) { k.WriteRatiosPct = []int{50, 101} },
-		"ratio below -1":      func(k *Closed) { k.WriteRatiosPct = []int{-2} },
+		"zero block size":           func(k *Closed) { k.BlockSizes = []int64{4 << 10, 0} },
+		"negative block size":       func(k *Closed) { k.BlockSizes = []int64{-4096} },
+		"zero queue depth":          func(k *Closed) { k.QueueDepths = []int{0} },
+		"negative depth":            func(k *Closed) { k.QueueDepths = []int{1, -2} },
+		"ratio above 100":           func(k *Closed) { k.WriteRatiosPct = []int{50, 101} },
+		"ratio below -1":            func(k *Closed) { k.WriteRatiosPct = []int{-2} },
+		"warmup past runtime":       func(k *Closed) { k.CellDuration, k.Warmup = 50*sim.Millisecond, 100*sim.Millisecond },
+		"warmup is default runtime": func(k *Closed) { k.CellDuration, k.Warmup = 0, 500*sim.Millisecond },
 	} {
 		k := quickKind()
 		mutate(&k)

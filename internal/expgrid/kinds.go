@@ -52,7 +52,20 @@ func (k Closed) validate(devices []NamedFactory) error {
 		axis("closed", "block size", k.BlockSizes, positive[int64], "> 0"),
 		axis("closed", "queue depth", k.QueueDepths, positive[int], "> 0"),
 		ratios(k.WriteRatiosPct),
+		k.checkWindow(),
 	)
+}
+
+// checkWindow checks the resolved measurement window of a time-bounded
+// sweep: a warmup at or past the cell duration would measure nothing.
+func (k Closed) checkWindow() error {
+	if k.CapMultiple > 0 {
+		return nil
+	}
+	if dur, warmup := window(k.CellDuration, k.Warmup); warmup >= dur {
+		return fmt.Errorf("expgrid: closed sweep warmup %v not shorter than cell duration %v", warmup, dur)
+	}
+	return nil
 }
 
 func (k Closed) cells(dev coordHash, add func(Cell, coordHash)) {
@@ -257,20 +270,12 @@ func (k Replay) describe(c Cell) string { return fmt.Sprintf("%s trace", c.Devic
 func (k Replay) inspects() bool { return k.Inspect != nil }
 
 // onDevice runs one cell of a device-built kind: a fresh device from the
-// cell's factory, prepared per mode (auto gives write cells the half fill
-// and every other cell a full one), measured, then inspected.
+// cell's factory, prepared per mode, measured, then inspected.
 func onDevice(f Factory, c Cell, out *CellResult, mode Precond, writes bool,
 	inspect func(blockdev.Device, Cell) any, measure func(blockdev.Device)) (*sim.Engine, []blockdev.Device) {
 	dev := f(c.Seed)
 	out.Device = dev.Name()
-	switch mode {
-	case PrecondAuto:
-		Precondition(dev, writes)
-	case PrecondWrites:
-		Precondition(dev, true)
-	case PrecondFull:
-		Precondition(dev, false)
-	}
+	mode.Apply(dev, writes)
 	measure(dev)
 	if inspect != nil {
 		out.Info = inspect(dev, c)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"essdsim/internal/blockdev"
 	"essdsim/internal/essd"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/obs"
@@ -327,7 +328,15 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 		cfg := *s.Obs
 		mix.Build = func(c expgrid.Cell) (*sim.Engine, []workload.Tenant) {
 			eng, tenants := s.BuildTenants(c)
-			caps[c.Index] = instrumentTenants(eng, tenants, neighborCellLabel(c), cfg)
+			devs := make([]blockdev.Device, len(tenants))
+			for i, t := range tenants {
+				devs[i] = t.Dev
+			}
+			cap, err := essd.Instrument(neighborCellLabel(c), cfg, devs...)
+			if err != nil {
+				panic(err) // a validated config on elastic volumes: a bug
+			}
+			caps[c.Index] = cap
 			return eng, tenants
 		}
 		sw.Kind = mix

@@ -1,52 +1,20 @@
 package scenario
 
-// Observability wiring for the neighbor suite: per-cell capture
-// instrumentation and the cliff-attribution bridge from measured cells to
-// obs.Explain.
+// Observability wiring for the neighbor suite: the cliff-attribution
+// bridge from measured cells to obs.Explain.
 
 import (
 	"fmt"
 
-	"essdsim/internal/essd"
 	"essdsim/internal/expgrid"
 	"essdsim/internal/obs"
 	"essdsim/internal/sim"
-	"essdsim/internal/workload"
 )
 
 // neighborCellLabel names a cell's capture after its grid coordinates, so
 // trace and probe rows are self-identifying across a sweep.
 func neighborCellLabel(c expgrid.Cell) string {
 	return fmt.Sprintf("a%d-r%g-w%d", c.Aggressors, c.RatePerSec, c.WriteRatioPct)
-}
-
-// instrumentTenants attaches one observability capture to a freshly built
-// cell: a tracer on every elastic volume and, when cfg.ProbeInterval is
-// positive, a prober over the shared backend's state gauges. It must run
-// before the first request is issued — tracer sampling counts requests per
-// volume from zero, and the prober's first sample lands at t=interval.
-func instrumentTenants(eng *sim.Engine, tenants []workload.Tenant, label string, cfg obs.Config) *obs.Capture {
-	cap := &obs.Capture{
-		Label:  label,
-		Tracer: obs.NewTracer(cfg.SampleEvery),
-	}
-	var be *essd.Backend
-	for _, t := range tenants {
-		if dev, ok := t.Dev.(*essd.ESSD); ok {
-			dev.SetTracer(cap.Tracer)
-			if be == nil {
-				be = dev.Backend()
-			}
-		}
-	}
-	if cfg.ProbeInterval > 0 {
-		cap.Prober = obs.NewProber(cfg.ProbeInterval)
-		if be != nil {
-			be.InstallProbes(cap.Prober)
-		}
-		cap.Prober.Attach(eng)
-	}
-	return cap
 }
 
 // neighborExplain builds one cell's attribution input from its capture and

@@ -73,7 +73,8 @@ type Spec struct {
 	MaxOps     uint64       // I/Os submitted
 
 	// Warmup excludes completions before this much simulated time from the
-	// recorded statistics (the timeline still covers the full run).
+	// recorded statistics (the timeline still covers the full run). With
+	// a Duration it must be shorter than the Duration.
 	Warmup sim.Duration
 
 	// Region restricts I/O to the first Region bytes of the device
@@ -93,6 +94,9 @@ func (s Spec) Validate(dev blockdev.Device) error {
 		return fmt.Errorf("workload: queue depth %d < 1", s.QueueDepth)
 	case s.Duration <= 0 && s.TotalBytes <= 0 && s.MaxOps == 0:
 		return fmt.Errorf("workload: no stop condition set")
+	case s.Duration > 0 && s.Warmup >= s.Duration:
+		// The warmup would swallow the whole run and measure nothing.
+		return fmt.Errorf("workload: warmup %v not shorter than duration %v", s.Warmup, s.Duration)
 	case s.Pattern == Mixed && (s.WriteRatio < 0 || s.WriteRatio > 1):
 		return fmt.Errorf("workload: write ratio %v out of [0,1]", s.WriteRatio)
 	case s.Region < 0 || s.Region > dev.Capacity():

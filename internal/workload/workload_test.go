@@ -58,15 +58,21 @@ func TestSpecValidate(t *testing.T) {
 		{BlockSize: 4096, QueueDepth: 1},            // no stop condition
 		{BlockSize: 4096, QueueDepth: 1, MaxOps: 1, Region: 1 << 40},
 		{Pattern: Mixed, BlockSize: 4096, QueueDepth: 1, MaxOps: 1, WriteRatio: 1.5},
+		{BlockSize: 4096, QueueDepth: 1, Duration: 50 * sim.Millisecond, Warmup: 100 * sim.Millisecond},  // warmup past the run
+		{BlockSize: 4096, QueueDepth: 1, Duration: 100 * sim.Millisecond, Warmup: 100 * sim.Millisecond}, // warmup is the run
 	}
 	for i, s := range bad {
 		if err := s.Validate(d); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
 		}
 	}
-	good := Spec{Pattern: RandRead, BlockSize: 4096, QueueDepth: 4, MaxOps: 10}
-	if err := good.Validate(d); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, good := range []Spec{
+		{Pattern: RandRead, BlockSize: 4096, QueueDepth: 4, MaxOps: 10},
+		{Pattern: RandRead, BlockSize: 4096, QueueDepth: 4, Duration: 100 * sim.Millisecond, Warmup: 99 * sim.Millisecond},
+	} {
+		if err := good.Validate(d); err != nil {
+			t.Errorf("valid spec rejected: %v", err)
+		}
 	}
 }
 
