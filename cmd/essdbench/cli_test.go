@@ -170,7 +170,7 @@ func TestCLIGoldenErrors(t *testing.T) {
 		{"-device essd1, -rw randwrite,write -bs 4k -runtime 200ms", "-device: empty item"},
 		{"-device gp2,gp2s -rw randwrite -bs 256k -rate 1500, -ops 200", "-rate: empty item"},
 		{"-device gp2,gp2s -rw randwrite -bs 256k, -rate 1500 -ops 200", "-bs: empty item"},
-		{"-device essd1,essd2 -trace msr.csv -trace-format msr -device essd1,,essd2", "-device: empty item"},
+		{"-device essd1,,essd2 -trace msr.csv -trace-format msr", "-device: empty item"},
 	} {
 		stdout, stderr, code := runCLI(t, dir, strings.Fields(tc.args)...)
 		if code != 1 || !strings.HasPrefix(stderr, "essdbench: ") || !strings.Contains(stderr, tc.want) || stdout != "" {
