@@ -260,7 +260,7 @@ func RunTenantMix(eng *Engine, tenants []Tenant) []*TenantResult {
 
 // Precondition prepares a device for measurement: write experiments get a
 // GC-free half-filled device; read experiments a fully written one.
-func Precondition(dev Device, forWrites bool) { harness.Precondition(dev, forWrites) }
+func Precondition(dev Device, forWrites bool) { expgrid.Precondition(dev, forWrites) }
 
 // ParseFioJobs parses a fio job file subset into named workloads.
 func ParseFioJobs(r io.Reader) ([]fio.Job, error) { return fio.Parse(r) }

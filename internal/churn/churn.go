@@ -573,5 +573,5 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.fold(plans, cells, results), nil
+	return s.fold(plans, cells, results)
 }

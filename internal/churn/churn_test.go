@@ -3,6 +3,7 @@ package churn
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -360,5 +361,42 @@ func TestPoissonDeterminism(t *testing.T) {
 	}
 	if poisson(sim.NewRNG(1, 1), 0) != 0 {
 		t.Fatal("poisson(0) must be 0")
+	}
+}
+
+// TestChurnCacheDiskRoundTrip runs a timeline cold, saves its cache,
+// loads the file into a fresh cache, and reruns: every cell must come
+// from the file and the epochs CSV must match the cold run byte for byte.
+func TestChurnCacheDiskRoundTrip(t *testing.T) {
+	run := func(cache *expgrid.Cache) (*Report, []byte) {
+		t.Helper()
+		s := churnSpec()
+		s.Fleet.Cache = cache
+		rep, err := Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteEpochsCSV(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.Bytes()
+	}
+	cold := expgrid.NewCache(0)
+	_, want := run(cold)
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := cold.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded := expgrid.NewCache(0)
+	if err := loaded.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	rep, got := run(loaded)
+	if rep.CachedCells != rep.Cells {
+		t.Fatalf("reloaded run simulated %d of %d cells", rep.Cells-rep.CachedCells, rep.Cells)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("epochs CSV from the reloaded cache differs from the cold run:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -63,7 +63,11 @@ type Report struct {
 
 // fold assembles the time-series report from the epoch plans and the
 // deduplicated cell results.
-func (s Spec) fold(plans []epochPlan, cells []fleet.MixCell, results []expgrid.CellResult) *Report {
+func (s Spec) fold(plans []epochPlan, cells []fleet.MixCell, results []expgrid.CellResult) (*Report, error) {
+	infos, err := fleet.CellInfos(results)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Placement:  s.Placement.Name(),
 		Rebalancer: s.Rebalancer.Name(),
@@ -101,8 +105,7 @@ func (s Spec) fold(plans []epochPlan, cells []fleet.MixCell, results []expgrid.C
 		}
 		var usedBudget float64
 		for _, ref := range plan.refs {
-			r := results[ref.cell]
-			info := r.Info.(fleet.CellInfo)
+			r, info := results[ref.cell], infos[ref.cell]
 			er.BackendsUsed++
 			usedBudget += s.Fleet.BackendBps
 			er.SharedDebt += info.SharedDebt
@@ -152,5 +155,5 @@ func (s Spec) fold(plans []epochPlan, cells []fleet.MixCell, results []expgrid.C
 		rep.TotalP999Violations += er.P999Violations
 		rep.Epochs = append(rep.Epochs, er)
 	}
-	return rep
+	return rep, nil
 }

@@ -8,10 +8,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-
-	"essdsim/internal/trace"
-	"essdsim/internal/workload"
-	"essdsim/kv"
 )
 
 // Cache memoizes cell results across sweeps so repeated coordinates — an
@@ -45,39 +41,19 @@ const DefaultCacheCapacity = 4096
 // cacheFileVersion tags the persisted JSON format.
 const cacheFileVersion = 1
 
-// cacheEntry is one live cache slot. rec holds the serializable
-// measurement; info holds the live Inspect capture when one is usable
-// in-process (stored by this process, or decoded via Sweep.DecodeInfo);
-// nil means the entry carries none yet.
-//
-// An entry stored in-process keeps its Info live-only (rec.Info nil) until
-// the first Save serializes it — store() is on the sweep hot path and must
-// not pay a JSON marshal per cell. The deferred marshal snapshots the Info
-// at Save time, which is equivalent because Inspect captures are value
-// summaries the sweep never mutates after fold.
+// cacheEntry is one cached cell: its key and its Measurement, Inspect
+// capture included. It is both the in-memory slot and the persisted
+// record, so a cell served from a loaded file and one stored by this
+// process are the same bytes.
 type cacheEntry struct {
-	key      string
-	rec      cacheRecord
-	info     any
-	volatile bool // Info could not marshal; entry is in-memory only
-}
-
-// cacheRecord is the wire form of one cached cell measurement.
-type cacheRecord struct {
-	Key    string                   `json:"key"`
-	Device string                   `json:"device,omitempty"`
-	Res    *workload.Result         `json:"closed,omitempty"`
-	Open   *workload.OpenResult     `json:"open,omitempty"`
-	Replay *trace.ReplayResult      `json:"replay,omitempty"`
-	Mix    []*workload.TenantResult `json:"mix,omitempty"`
-	KV     []*kv.MixResult          `json:"kv,omitempty"`
-	Info   json.RawMessage          `json:"info,omitempty"`
+	Key string `json:"key"`
+	Measurement
 }
 
 // cacheFile is the persisted JSON document.
 type cacheFile struct {
-	Version int           `json:"version"`
-	Entries []cacheRecord `json:"entries"`
+	Version int          `json:"version"`
+	Entries []cacheEntry `json:"entries"`
 }
 
 // NewCache returns an empty cache holding at most capacity entries
@@ -113,117 +89,65 @@ func cellKey(fingerprint, seed uint64) string {
 }
 
 // lookup returns the cached result for the cell, reconstructed onto the
-// cell's coordinates. A disk-loaded entry whose Info has not been decoded
-// yet is decoded through decode; if the sweep needs an Info (inspect true)
-// that the entry cannot supply, the lookup misses so the cell re-runs.
-func (c *Cache) lookup(fingerprint uint64, cell Cell, inspect bool, decode func([]byte) (any, error)) (CellResult, bool) {
-	key := cellKey(fingerprint, cell.Seed)
+// cell's coordinates. If the sweep needs an Info (inspect true) that the
+// entry does not carry, the lookup misses so the cell re-runs.
+func (c *Cache) lookup(fingerprint uint64, cell Cell, inspect bool) (CellResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
+	el, ok := c.byKey[cellKey(fingerprint, cell.Seed)]
+	if !ok || (inspect && el.Value.(*cacheEntry).Info == nil) {
 		c.misses++
 		return CellResult{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	if inspect && e.info == nil {
-		if e.rec.Info == nil || decode == nil {
-			c.misses++
-			return CellResult{}, false
-		}
-		info, err := decode(e.rec.Info)
-		if err != nil || info == nil {
-			c.misses++
-			return CellResult{}, false
-		}
-		e.info = info
-	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	out := CellResult{
-		Cell:   cell,
-		Device: e.rec.Device,
-		Res:    e.rec.Res,
-		Open:   e.rec.Open,
-		Replay: e.rec.Replay,
-		Mix:    e.rec.Mix,
-		KV:     e.rec.KV,
-		Cached: true,
-	}
-	if inspect {
-		out.Info = e.info
+	out := CellResult{Cell: cell, Measurement: el.Value.(*cacheEntry).Measurement, Cached: true}
+	if !inspect {
+		out.Info = nil
 	}
 	return out, true
 }
 
-// store caches a successful cell result. The Info capture is kept live and
-// serialized lazily — once, at the first Save that sees the entry — so the
-// per-cell store cost is a map insert, not a JSON marshal.
+// store caches a successful cell result.
 func (c *Cache) store(fingerprint uint64, res CellResult) {
 	if res.Err != nil {
 		return
 	}
-	key := cellKey(fingerprint, res.Seed)
-	e := &cacheEntry{
-		key: key,
-		rec: cacheRecord{
-			Key:    key,
-			Device: res.Device,
-			Res:    res.Res,
-			Open:   res.Open,
-			Replay: res.Replay,
-			Mix:    res.Mix,
-			KV:     res.KV,
-		},
-		info: res.Info,
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	c.insert(&cacheEntry{Key: cellKey(fingerprint, res.Seed), Measurement: res.Measurement})
+}
+
+// insert adds or replaces e as the most recently used entry, evicting
+// from the back past capacity. The caller holds c.mu.
+func (c *Cache) insert(e *cacheEntry) {
+	if el, ok := c.byKey[e.Key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(e)
+	c.byKey[e.Key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.byKey, last.Value.(*cacheEntry).key)
+		delete(c.byKey, last.Value.(*cacheEntry).Key)
 	}
 }
 
 // Save writes the cache as JSON, entries in deterministic key order.
-// Inspect captures stored live in this process are marshalled here, once
-// per entry (the result is memoized on the entry, so repeated Saves and
-// sweeps re-storing the same coordinates never re-serialize). Entries
-// whose capture cannot marshal are skipped and marked in-memory only.
 func (c *Cache) Save(w io.Writer) error {
 	c.mu.Lock()
 	doc := cacheFile{Version: cacheFileVersion}
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.info != nil && e.rec.Info == nil && !e.volatile {
-			raw, err := json.Marshal(e.info)
-			if err != nil {
-				e.volatile = true
-			} else {
-				e.rec.Info = raw
-			}
-		}
-		if e.volatile {
-			continue
-		}
-		doc.Entries = append(doc.Entries, e.rec)
+		doc.Entries = append(doc.Entries, *el.Value.(*cacheEntry))
 	}
 	c.mu.Unlock()
 	sort.Slice(doc.Entries, func(i, j int) bool { return doc.Entries[i].Key < doc.Entries[j].Key })
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }
 
-// Load merges entries from a JSON document written by Save. Loaded Inspect
-// captures stay in their raw form until a sweep with a DecodeInfo hook
-// first hits them.
+// Load merges entries from a JSON document written by Save; a loaded
+// entry replaces an in-memory one with the same key.
 func (c *Cache) Load(r io.Reader) error {
 	var doc cacheFile
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -234,18 +158,8 @@ func (c *Cache) Load(r io.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, rec := range doc.Entries {
-		rec := rec
-		if _, ok := c.byKey[rec.Key]; ok {
-			continue
-		}
-		e := &cacheEntry{key: rec.Key, rec: rec}
-		c.byKey[rec.Key] = c.ll.PushFront(e)
-		for c.ll.Len() > c.capacity {
-			last := c.ll.Back()
-			c.ll.Remove(last)
-			delete(c.byKey, last.Value.(*cacheEntry).key)
-		}
+	for _, e := range doc.Entries {
+		c.insert(&e)
 	}
 	return nil
 }

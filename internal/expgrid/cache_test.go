@@ -3,8 +3,10 @@ package expgrid
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"essdsim/internal/blockdev"
@@ -175,63 +177,27 @@ func TestCacheVersionRejected(t *testing.T) {
 	}
 }
 
-// countingInfo counts how many times it is JSON-marshalled.
-type countingInfo struct{ marshals *int }
-
-func (c countingInfo) MarshalJSON() ([]byte, error) {
-	*c.marshals++
-	return []byte(`{"x":1}`), nil
-}
-
-// TestCacheInfoMarshalsLazilyAndOnce pins the store-path fix: storing a
-// cell's Inspect capture must not serialize it (store runs once per cell on
-// the sweep hot path), and repeated Saves must serialize it exactly once —
-// the first Save memoizes the bytes on the entry.
-func TestCacheInfoMarshalsLazilyAndOnce(t *testing.T) {
-	cache := NewCache(0)
-	marshals := 0
-	cache.store(1, CellResult{
-		Cell: Cell{Seed: 42},
-		Info: countingInfo{marshals: &marshals},
-	})
-	if marshals != 0 {
-		t.Fatalf("store marshalled the Info %d times; must defer to Save", marshals)
-	}
-	// An in-process lookup is served from the live capture, no marshal.
-	if res, ok := cache.lookup(1, Cell{Seed: 42}, true, nil); !ok || res.Info == nil {
-		t.Fatal("in-process lookup with inspect must hit without serialization")
-	}
-	if marshals != 0 {
-		t.Fatalf("lookup marshalled the Info %d times", marshals)
-	}
-	for i := 0; i < 3; i++ {
-		if err := cache.Save(&bytes.Buffer{}); err != nil {
-			t.Fatal(err)
+// TestInspectCaptureMustEncode: an Inspect capture that cannot encode as
+// JSON fails its cell with a named error, never a panic, and nothing of
+// the failed cell is cached.
+func TestInspectCaptureMustEncode(t *testing.T) {
+	for name, capture := range map[string]any{"chan": make(chan int), "NaN": math.NaN()} {
+		cache := NewCache(0)
+		sw := cacheTestSweep(cache)
+		k := cacheTestKind()
+		k.Inspect = func(blockdev.Device, Cell) any { return capture }
+		sw.Kind = k
+		_, err := Runner{Workers: 1}.Run(context.Background(), sw)
+		if err == nil || !strings.HasPrefix(err.Error(), "expgrid: cell 0 (gp2 ") ||
+			!strings.Contains(err.Error(), "inspect capture") {
+			t.Errorf("%s capture: err = %v, want a named cell 0 error", name, err)
+		}
+		if n := cache.Len(); n != 0 {
+			t.Errorf("%s capture: %d failed cells cached", name, n)
 		}
 	}
-	if marshals != 1 {
-		t.Fatalf("three Saves marshalled the Info %d times, want exactly 1 (memoized)", marshals)
-	}
-}
-
-// TestCacheUnmarshalableInfoStaysInMemory: an Inspect capture that cannot
-// serialize keeps its entry usable in-process but out of the persisted file.
-func TestCacheUnmarshalableInfoStaysInMemory(t *testing.T) {
-	cache := NewCache(0)
-	cache.store(1, CellResult{Cell: Cell{Seed: 7}, Info: make(chan int)})
-	if res, ok := cache.lookup(1, Cell{Seed: 7}, true, nil); !ok || res.Info == nil {
-		t.Fatal("in-memory entry with unmarshalable Info must still hit")
-	}
-	var buf bytes.Buffer
-	if err := cache.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(cellKey(1, 7))) {
-		t.Fatalf("unmarshalable entry leaked into the persisted file: %s", buf.String())
-	}
-	// The failed marshal is memoized too: a second Save must not re-try
-	// and must stay well-formed.
-	if err := cache.Save(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	if _, err := DecodeInfo[int](CellResult{Cell: Cell{Index: 3, DeviceName: "d"}}); err == nil ||
+		!strings.HasPrefix(err.Error(), "expgrid: cell 3 (d)") {
+		t.Errorf("decoding a missing capture: err = %v, want a named cell 3 error", err)
 	}
 }

@@ -60,10 +60,13 @@
 // binary search, a re-run of a whole suite — skip the simulation and
 // return the stored measurement, marked CellResult.Cached. The cache is a
 // bounded LRU, safe for concurrent workers, and persists to JSON
-// (Cache.SaveFile/LoadFile) with deterministic bytes; sweeps that combine
-// persistence with an inspect hook must also set DecodeInfo so loaded
-// captures can be rehydrated. Two identities live outside the key and must
-// be kept stable by the caller: the factory or Build hook behind a device
-// name, and the semantics of the inspect hook — change either together
-// with the sweep Label.
+// (Cache.SaveFile/LoadFile) with deterministic bytes. A cell's
+// Measurement is both its result and its cache record: an inspect hook's
+// capture is JSON-encoded into Measurement.Info once, when the cell runs,
+// and folds read it with DecodeInfo whether the cell ran or came from the
+// cache. A capture must therefore encode (exported fields, no channels,
+// NaNs, or infinities); one that does not fails its cell. Two identities
+// live outside the key and must be kept stable by the caller: the factory
+// or Build hook behind a device name, and the semantics of the inspect
+// hook — change either together with the sweep Label.
 package expgrid

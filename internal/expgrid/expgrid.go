@@ -1,6 +1,7 @@
 package expgrid
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -131,13 +132,6 @@ type Sweep struct {
 	// probe samples. The cache fingerprint is unchanged, so forced runs
 	// refresh the same entries ordinary runs read.
 	ForceRun bool
-
-	// DecodeInfo rehydrates an inspect-hook capture loaded from a
-	// persisted cache file (raw JSON in, the same concrete type the hook
-	// returns out). Sweeps that use both Cache persistence and an inspect
-	// hook must set it; without it, disk-loaded entries miss and the cell
-	// re-runs.
-	DecodeInfo func(raw []byte) (any, error)
 
 	// Seed is the root seed; Label further decorrelates sweeps that share
 	// a root seed and coordinates (e.g. two experiments on one CLI seed).
@@ -318,21 +312,55 @@ func (c Cell) writeRatio() float64 {
 	return float64(c.WriteRatioPct) / 100
 }
 
-// CellResult pairs a cell with its measurement. Exactly one measurement
-// field is set, by the sweep's kind: Res for Closed cells, Open for Open
-// cells, Replay for Replay cells, Mix for Tenants cells, and KV for KV
-// cells. Err is set when the cell failed (e.g. an invalid workload spec);
-// every other result field is then zero.
+// Measurement is what one cell measured, and also the record a Cache
+// keeps and persists for it. Exactly one measurement field is set, by the
+// sweep's kind: Res for Closed cells, Open for Open cells, Replay for
+// Replay cells, Mix for Tenants cells, and KV for KV cells. Info holds the
+// kind's inspect-hook capture, JSON-encoded once when the cell runs; read
+// it with DecodeInfo. The JSON tags are the cache file's wire names.
+type Measurement struct {
+	Device string                   `json:"device,omitempty"` // constructed device's display name
+	Res    *workload.Result         `json:"closed,omitempty"`
+	Open   *workload.OpenResult     `json:"open,omitempty"`
+	Replay *trace.ReplayResult      `json:"replay,omitempty"`
+	Mix    []*workload.TenantResult `json:"mix,omitempty"` // Tenants cells: per-tenant results
+	KV     []*kv.MixResult          `json:"kv,omitempty"`  // KV cells: per-tenant results
+	Info   json.RawMessage          `json:"info,omitempty"`
+}
+
+// capture encodes an inspect hook's return value into Info; nil leaves
+// Info empty. A capture that cannot encode panics, which Sweep.run turns
+// into the cell's error.
+func (m *Measurement) capture(v any) {
+	if v == nil {
+		return
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Errorf("inspect capture: %w", err))
+	}
+	m.Info = raw
+}
+
+// DecodeInfo decodes a cell's inspect-hook capture into T, the type the
+// sweep's hook returns. Fresh and cache-served cells decode alike. A cell
+// without a capture, or whose capture does not decode into T, is an error
+// naming the cell.
+func DecodeInfo[T any](r CellResult) (T, error) {
+	var v T
+	if err := json.Unmarshal(r.Info, &v); err != nil {
+		return v, fmt.Errorf("expgrid: cell %d (%s): decode info: %w", r.Index, r.DeviceName, err)
+	}
+	return v, nil
+}
+
+// CellResult pairs a cell with its measurement. Err is set when the cell
+// failed (e.g. an invalid workload spec or a capture that cannot encode);
+// the Measurement is then zero.
 type CellResult struct {
 	Cell
-	Device string // constructed device's display name
-	Res    *workload.Result
-	Open   *workload.OpenResult
-	Replay *trace.ReplayResult
-	Mix    []*workload.TenantResult // Tenants cells: per-tenant results
-	KV     []*kv.MixResult          // KV cells: per-tenant results
-	Info   any                      // the kind's inspect-hook capture, or nil
-	Cached bool                     // served from Sweep.Cache instead of a fresh simulation
+	Measurement
+	Cached bool // served from Sweep.Cache instead of a fresh simulation
 	Err    error
 }
 
@@ -417,7 +445,7 @@ func floatWord(f float64) uint64 { return math.Float64bits(f) }
 // sweep cleanly instead of killing the worker pool.
 func (s Sweep) run(c Cell) (out CellResult) {
 	if s.Cache != nil && !s.ForceRun {
-		if res, ok := s.Cache.lookup(s.fingerprint, c, s.Kind.inspects(), s.DecodeInfo); ok {
+		if res, ok := s.Cache.lookup(s.fingerprint, c, s.Kind.inspects()); ok {
 			return res
 		}
 	}
@@ -435,8 +463,8 @@ func (s Sweep) run(c Cell) (out CellResult) {
 	// engine back for the next cell. Deliberately skipped on the panic
 	// path (the deferred recover returns before reaching here), so a
 	// half-built cell can never poison the pools. Devices without pooled
-	// state are left alone; inspect hooks must therefore capture values,
-	// not live device internals.
+	// state are left alone. The inspect capture is already encoded, so no
+	// released state can leak into it.
 	for _, dev := range devs {
 		if r, ok := dev.(interface{ ReleaseResources() }); ok {
 			r.ReleaseResources()

@@ -652,7 +652,7 @@ func TestInspectHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap, ok := results[0].Info.(int64); !ok || cap <= 0 {
-		t.Fatalf("Inspect capture = %v", results[0].Info)
+	if cap, err := DecodeInfo[int64](results[0]); err != nil || cap <= 0 {
+		t.Fatalf("Inspect capture = %s (%v)", results[0].Info, err)
 	}
 }

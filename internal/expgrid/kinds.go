@@ -37,11 +37,13 @@ type Closed struct {
 
 	// Inspect, when non-nil, runs on the worker after the cell's workload
 	// completes, while the measured device is still alive; its return
-	// value is stored in CellResult.Info. Use it to capture post-run
-	// device state (throttle flags, write amplification, GC counters)
-	// that the workload Result alone cannot show. It must not touch
-	// anything shared between cells, and its semantics are outside the
-	// cache key: change the sweep Label when they change.
+	// value is JSON-encoded into CellResult.Info (read it back with
+	// DecodeInfo), so it must encode: exported fields, no channels,
+	// functions, NaNs or infinities, or the cell fails. Use it to capture
+	// post-run device state (throttle flags, write amplification, GC
+	// counters) that the workload Result alone cannot show. It must not
+	// touch anything shared between cells, and its semantics are outside
+	// the cache key: change the sweep Label when they change.
 	Inspect func(dev blockdev.Device, c Cell) any
 }
 
@@ -278,7 +280,7 @@ func onDevice(f Factory, c Cell, out *CellResult, mode Precond, writes bool,
 	mode.Apply(dev, writes)
 	measure(dev)
 	if inspect != nil {
-		out.Info = inspect(dev, c)
+		out.capture(inspect(dev, c))
 	}
 	return dev.Engine(), []blockdev.Device{dev}
 }
@@ -307,7 +309,7 @@ type Tenants struct {
 
 	// Inspect, when non-nil, runs on the worker after the cell's mix
 	// drains, with every tenant's device still alive; its return value is
-	// stored in CellResult.Info.
+	// encoded into CellResult.Info as for Closed.
 	Inspect func(tenants []workload.Tenant, c Cell) any
 }
 
@@ -345,7 +347,7 @@ func (k Tenants) run(_ Factory, c Cell, out *CellResult) (*sim.Engine, []blockde
 	out.Device = c.DeviceName
 	out.Mix = workload.RunTenants(eng, tenants)
 	if k.Inspect != nil {
-		out.Info = k.Inspect(tenants, c)
+		out.capture(k.Inspect(tenants, c))
 	}
 	devs := make([]blockdev.Device, len(tenants))
 	for i, t := range tenants {
@@ -381,7 +383,7 @@ type KV struct {
 
 	// Inspect, when non-nil, runs on the worker after the cell's tenants
 	// drain, with every storage engine and device still alive; its return
-	// value is stored in CellResult.Info.
+	// value is encoded into CellResult.Info as for Closed.
 	Inspect func(tenants []kv.MixTenant, c Cell) any
 }
 
@@ -417,7 +419,7 @@ func (k KV) run(_ Factory, c Cell, out *CellResult) (*sim.Engine, []blockdev.Dev
 	out.Device = c.DeviceName
 	out.KV = kv.RunMix(eng, tenants)
 	if k.Inspect != nil {
-		out.Info = k.Inspect(tenants, c)
+		out.capture(k.Inspect(tenants, c))
 	}
 	// Each storage engine goes back to its pool ahead of the device under
 	// it, which the sweep then releases.

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -289,10 +288,10 @@ type TenantInfo struct {
 }
 
 // CellInfo is the Tenants Inspect capture of one backend cell: the pooled debt
-// plus per-tenant throttle state and attribution. JSON-round-trippable so
-// cached cells survive persistence (see decodeCellInfo). Exported so
-// callers driving MixSweep directly (the churn control plane) can type-
-// assert each CellResult's Info.
+// plus per-tenant throttle state and attribution. Exported so callers
+// driving MixSweep directly (the churn control plane) can read their
+// results' captures with CellInfos; its JSON names are the persisted
+// cache's.
 type CellInfo struct {
 	SharedDebt int64        `json:"shared_debt"`
 	Tenants    []TenantInfo `json:"tenants"`
@@ -320,14 +319,16 @@ func inspectCell(tenants []workload.Tenant, _ expgrid.Cell) any {
 	return info
 }
 
-// decodeCellInfo rehydrates a persisted cellInfo (the expgrid DecodeInfo
-// hook matching inspectCell).
-func decodeCellInfo(raw []byte) (any, error) {
-	var info CellInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
-		return nil, err
+// CellInfos decodes every MixSweep cell's CellInfo, in result order.
+func CellInfos(results []expgrid.CellResult) ([]CellInfo, error) {
+	infos := make([]CellInfo, len(results))
+	for i, r := range results {
+		var err error
+		if infos[i], err = expgrid.DecodeInfo[CellInfo](r); err != nil {
+			return nil, err
+		}
 	}
-	return info, nil
+	return infos, nil
 }
 
 // TenantReport is one placed tenant's measurement under one policy.
@@ -481,7 +482,7 @@ func Run(ctx context.Context, s Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.fold(defs, refs, assignments, results), nil
+	return s.fold(defs, refs, assignments, results)
 }
 
 // MixSweep assembles the expgrid sweep that simulates the given cells
@@ -532,11 +533,10 @@ func (s Spec) MixSweep(cells []MixCell) expgrid.Sweep {
 			Build:           s.buildMix(cells),
 			Inspect:         inspectCell,
 		},
-		Cache:      s.Cache,
-		DecodeInfo: decodeCellInfo,
-		Seed:       s.Seed,
-		Label:      label,
-		Variant:    variant,
+		Cache:   s.Cache,
+		Seed:    s.Seed,
+		Label:   label,
+		Variant: variant,
 	}
 	for _, cell := range cells {
 		sw.Devices = append(sw.Devices, expgrid.NamedFactory{Name: cell.Name})
@@ -545,7 +545,11 @@ func (s Spec) MixSweep(cells []MixCell) expgrid.Sweep {
 }
 
 // fold assembles the report from the raw cell results.
-func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, results []expgrid.CellResult) *Report {
+func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, results []expgrid.CellResult) (*Report, error) {
+	infos, err := CellInfos(results)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Tenants:    len(s.Demands),
 		Backends:   s.Backends,
@@ -580,8 +584,7 @@ func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, res
 		}
 		for _, ref := range refs[pi] {
 			def := defs[ref.cell]
-			r := results[ref.cell]
-			info := r.Info.(CellInfo)
+			r, info := results[ref.cell], infos[ref.cell]
 			br := BackendReport{
 				Index:      ref.backend,
 				SharedDebt: info.SharedDebt,
@@ -675,5 +678,5 @@ func (s Spec) fold(defs []cellDef, refs [][]backendRef, assignments [][]int, res
 		}
 		rep.Policies = append(rep.Policies, pr)
 	}
-	return rep
+	return rep, nil
 }

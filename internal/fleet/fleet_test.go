@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,5 +334,51 @@ func TestFleetCellNaming(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refs[0], refs[refs0]) {
 		t.Fatalf("identical placements did not share cells: %v vs %v", refs[0], refs[refs0])
+	}
+}
+
+// TestFleetCacheDiskRoundTrip runs a study cold, saves its cache, loads
+// the file into a fresh cache, and reruns: every cell, its CellInfo
+// capture included, must come from the file, and the backends and
+// tenants CSVs must match the cold run byte for byte.
+func TestFleetCacheDiskRoundTrip(t *testing.T) {
+	run := func(cache *expgrid.Cache) (*Report, []byte) {
+		t.Helper()
+		rep, err := Run(context.Background(), Spec{
+			Demands:  SyntheticDemands(4, 1),
+			Backends: 2,
+			Horizon:  500 * sim.Millisecond,
+			SLOP999:  5 * sim.Millisecond,
+			Cache:    cache,
+			Seed:     7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteBackendsCSV(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTenantsCSV(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep, buf.Bytes()
+	}
+	cold := expgrid.NewCache(0)
+	_, want := run(cold)
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := cold.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded := expgrid.NewCache(0)
+	if err := loaded.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	rep, got := run(loaded)
+	if rep.CachedCells != rep.Cells {
+		t.Fatalf("reloaded run simulated %d of %d cells", rep.Cells-rep.CachedCells, rep.Cells)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("CSVs from the reloaded cache differ from the cold run:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -90,14 +90,6 @@ var Fig4QDs = []int{1, 2, 4, 8, 16, 32}
 // Fig5Ratios are the paper's Figure 5 write ratios, in percent.
 var Fig5Ratios = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
-// Precondition prepares a device for a measurement cell. Write cells get a
-// half-filled device (a GC-free window, as on a freshly provisioned or
-// trimmed drive); read cells get a fully, sequentially written device (the
-// layout after a fio fill pass).
-func Precondition(dev blockdev.Device, forWrites bool) {
-	expgrid.Precondition(dev, forWrites)
-}
-
 // LatencyCell is one pixel of Figure 2.
 type LatencyCell struct {
 	Pattern    workload.Pattern
@@ -125,12 +117,8 @@ func (g *LatencyGrid) Cell(p workload.Pattern, bs int64, qd int) *LatencyCell {
 	return nil
 }
 
-// RunLatencyGrid measures the Figure 2 grid on fresh devices from factory.
-func RunLatencyGrid(factory Factory, opts Options) *LatencyGrid {
-	return RunLatencyGridWith(factory, Fig2Patterns, Fig2Sizes, Fig2QDs, opts)
-}
-
-// RunLatencyGridWith measures a custom grid.
+// RunLatencyGridWith measures a Figure 2 latency grid (the paper's axes
+// are Fig2Patterns, Fig2Sizes, and Fig2QDs) on fresh devices from factory.
 func RunLatencyGridWith(factory Factory, patterns []workload.Pattern, sizes []int64, qds []int, opts Options) *LatencyGrid {
 	opts = opts.withDefaults()
 	grid := &LatencyGrid{}
@@ -177,11 +165,11 @@ type SustainedResult struct {
 
 // sustainedInfo is the post-run device state a sustained-write cell
 // captures via the sweep's Inspect hook, while its device is still alive
-// on the worker.
+// on the worker. Its fields are exported so that the capture encodes.
 type sustainedInfo struct {
-	capacity  int64
-	throttled bool
-	writeAmp  float64
+	Capacity  int64
+	Throttled bool
+	WriteAmp  float64
 }
 
 // sustainedSweep is the Figure 3 cell shape: 128 KiB random writes at
@@ -195,12 +183,12 @@ func sustainedSweep(opts Options, capMultiple float64) expgrid.Sweep {
 		CapMultiple:  capMultiple,
 		Precondition: expgrid.PrecondNone,
 		Inspect: func(dev blockdev.Device, _ expgrid.Cell) any {
-			info := sustainedInfo{capacity: dev.Capacity(), writeAmp: 1}
+			info := sustainedInfo{Capacity: dev.Capacity(), WriteAmp: 1}
 			if e, ok := dev.(interface{ Throttled() bool }); ok {
-				info.throttled = e.Throttled()
+				info.Throttled = e.Throttled()
 			}
 			if s, ok := dev.(interface{ FTLWriteAmp() float64 }); ok {
-				info.writeAmp = s.FTLWriteAmp()
+				info.WriteAmp = s.FTLWriteAmp()
 			}
 			return info
 		},
@@ -208,20 +196,23 @@ func sustainedSweep(opts Options, capMultiple float64) expgrid.Sweep {
 }
 
 // foldSustained computes the Figure 3 knee/tail/peak statistics of one
-// sustained-write cell.
+// sustained-write cell. Like runGrid, it panics on a cell it cannot read.
 func foldSustained(r expgrid.CellResult) *SustainedResult {
 	res := r.Res
-	info := r.Info.(sustainedInfo)
+	info, err := expgrid.DecodeInfo[sustainedInfo](r)
+	if err != nil {
+		panic(err)
+	}
 	out := &SustainedResult{
 		Device:       r.Device,
-		Capacity:     info.capacity,
+		Capacity:     info.Capacity,
 		Interval:     res.Series.Interval(),
 		Rates:        res.Series.Rates(),
 		TotalWritten: res.Bytes,
 		Elapsed:      res.Elapsed,
 		KneeCapFrac:  -1,
-		Throttled:    info.throttled,
-		WriteAmp:     info.writeAmp,
+		Throttled:    info.Throttled,
+		WriteAmp:     info.WriteAmp,
 	}
 	n := res.Series.Len()
 	out.TailRate = res.Series.MeanRate(n-5, n)
@@ -305,12 +296,9 @@ func (r *RandSeqResult) MaxGain() (gain float64, at RandSeqCell) {
 	return gain, at
 }
 
-// RunRandSeqSweep performs the Figure 4 experiment on fresh devices.
-func RunRandSeqSweep(factory Factory, opts Options) *RandSeqResult {
-	return RunRandSeqSweepWith(factory, Fig4Sizes, Fig4QDs, opts)
-}
-
-// RunRandSeqSweepWith sweeps custom sizes and queue depths.
+// RunRandSeqSweepWith performs the Figure 4 experiment on fresh devices
+// over the given sizes and queue depths (the paper's are Fig4Sizes and
+// Fig4QDs).
 func RunRandSeqSweepWith(factory Factory, sizes []int64, qds []int, opts Options) *RandSeqResult {
 	opts = opts.withDefaults()
 	results := opts.runGrid(opts.sweep(factory, "fig4", expgrid.Closed{
@@ -438,13 +426,9 @@ func RunIOPSSweep(factory Factory, sizes []int64, opts Options) *IOPSResult {
 	return out
 }
 
-// RunMixedSweep performs the Figure 5 experiment: 128 KiB random I/O at
-// QD 32 with the write ratio swept 0..100%.
-func RunMixedSweep(factory Factory, opts Options) *MixedResult {
-	return RunMixedSweepWith(factory, Fig5Ratios, opts)
-}
-
-// RunMixedSweepWith sweeps custom write ratios (percent).
+// RunMixedSweepWith performs the Figure 5 experiment: 128 KiB random I/O
+// at QD 32 over the given write ratios in percent (the paper's are
+// Fig5Ratios).
 func RunMixedSweepWith(factory Factory, ratios []int, opts Options) *MixedResult {
 	opts = opts.withDefaults()
 	// Keep the SSD's cell short enough that random overwrites on a full

@@ -3,7 +3,9 @@ package integration
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"essdsim/internal/expgrid"
@@ -113,6 +115,60 @@ func TestCacheFixtureServesPersistedCells(t *testing.T) {
 			t.Errorf("%s: %d of %d cells served from the fixture", f.golden, cached, cells)
 		}
 		checkGolden(t, f.golden, out)
+	}
+	if _, misses := cache.Stats(); misses != 0 {
+		t.Errorf("%d cells simulated, want 0", misses)
+	}
+}
+
+// TestCacheFixtureColdRunsWriteIt pins the cache's write side: the
+// fixture sweeps run cold into a fresh cache must save exactly the
+// committed fixture bytes.
+func TestCacheFixtureColdRunsWriteIt(t *testing.T) {
+	cache := expgrid.NewCache(0)
+	for _, f := range fixtureRuns {
+		if _, _, _, err := f.run(cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := cache.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fixtureFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cold runs saved %d bytes that differ from the %d-byte %s", len(got), len(want), fixtureFile)
+	}
+}
+
+// TestCacheFixtureBadInfoFailsCell corrupts one neighbor capture in the
+// fixture ("throttled" becomes a string): the cell that reads it must
+// fail the suite with an error naming the cell, not re-simulate or fold
+// a zero capture.
+func TestCacheFixtureBadInfoFailsCell(t *testing.T) {
+	raw, err := os.ReadFile(fixtureFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const good, bad = `"info":{"throttled":false,"throttled_at"`, `"info":{"throttled":"yes","throttled_at"`
+	if !bytes.Contains(raw, []byte(good)) {
+		t.Fatalf("%s has no neighbor capture to corrupt", fixtureFile)
+	}
+	cache := expgrid.NewCache(0)
+	if err := cache.Load(bytes.NewReader(bytes.Replace(raw, []byte(good), []byte(bad), 1))); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = fixtureRuns[1].run(cache)
+	if err == nil || !strings.HasPrefix(err.Error(), "expgrid: cell ") ||
+		!strings.Contains(err.Error(), "(shared)") || !strings.Contains(err.Error(), "throttled") {
+		t.Fatalf("corrupt neighbor capture: err = %v, want a named cell error", err)
 	}
 	if _, misses := cache.Stats(); misses != 0 {
 		t.Errorf("%d cells simulated, want 0", misses)

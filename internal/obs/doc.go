@@ -19,8 +19,7 @@
 //     simulated-time cadence — queue depths and busy slots per
 //     sim.Server/Pipe, per-flow credit balance, pooled and private
 //     cleaner debt, DRR deficits and reservation tokens, netsim per-flow
-//     bytes, KV memtable/level/page-cache occupancy — emitted as time
-//     series (WriteProbesCSV / WriteProbesJSON).
+//     bytes — emitted as time series (WriteProbesCSV / WriteProbesJSON).
 //
 // Explain correlates a cell's victim tail inflection with the probe
 // series and limiter state ("pooled debt crossed the throttle threshold

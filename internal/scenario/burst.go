@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -154,8 +153,8 @@ type BurstReport struct {
 // CreditInfo is the post-run credit and throttle state InspectCredits
 // captures on the worker, while the cell's device is still alive. It is
 // the Inspect payload of every credit-aware suite (burst scenarios, SLO
-// searches) and is JSON-round-trippable so cached cells survive
-// persistence (see DecodeCreditInfo).
+// searches); folds read it back with expgrid.DecodeInfo[CreditInfo]. Its
+// JSON names are the persisted cache's.
 type CreditInfo struct {
 	Burstable   bool         `json:"burstable"`
 	Credits     float64      `json:"credits"`
@@ -203,16 +202,6 @@ func InspectCredits(dev blockdev.Device, _ expgrid.Cell) any {
 	return info
 }
 
-// DecodeCreditInfo is the expgrid DecodeInfo hook matching InspectCredits:
-// it rehydrates a persisted CreditInfo from its JSON form.
-func DecodeCreditInfo(raw []byte) (any, error) {
-	var info CreditInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
-		return nil, err
-	}
-	return info, nil
-}
-
 // RunBurst executes the suite on the expgrid worker pool and folds the
 // cells into a report. Results are deterministic and identical for any
 // worker count. Cancel ctx to stop early.
@@ -227,7 +216,11 @@ func RunBurst(ctx context.Context, s BurstSweep) (*BurstReport, error) {
 		if rep.SampleInterval == 0 {
 			rep.SampleInterval = r.Open.Series.Interval()
 		}
-		rep.Cells = append(rep.Cells, foldBurstCell(r))
+		cell, err := foldBurstCell(r)
+		if err != nil {
+			return nil, err
+		}
+		rep.Cells = append(rep.Cells, cell)
 		if r.Cached {
 			rep.CachedCells++
 		}
@@ -249,16 +242,18 @@ func (s BurstSweep) sweep() expgrid.Sweep {
 			Precondition:   expgrid.PrecondFull, // reads must hit data
 			Inspect:        InspectCredits,
 		},
-		Cache:      s.Cache,
-		DecodeInfo: DecodeCreditInfo,
-		Seed:       s.Seed,
-		Label:      s.Label,
+		Cache: s.Cache,
+		Seed:  s.Seed,
+		Label: s.Label,
 	}
 }
 
-func foldBurstCell(r expgrid.CellResult) BurstCell {
+func foldBurstCell(r expgrid.CellResult) (BurstCell, error) {
 	open := r.Open
-	info := r.Info.(CreditInfo)
+	info, err := expgrid.DecodeInfo[CreditInfo](r)
+	if err != nil {
+		return BurstCell{}, err
+	}
 	// Prefer the short, stable axis name over the device's display name;
 	// the axis name is what a caller sweeps and filters on.
 	name := r.DeviceName
@@ -318,7 +313,7 @@ func foldBurstCell(r expgrid.CellResult) BurstCell {
 			MeanLat:     open.LatSeries.Mean(i),
 		}
 	}
-	return cell
+	return cell, nil
 }
 
 // FormatBurst writes the report as an aligned table: one row per cell with

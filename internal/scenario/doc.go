@@ -32,9 +32,11 @@
 // directly comparable across cells. Results are deterministic and
 // identical for any worker count. Attaching an expgrid.Cache
 // (BurstSweep.Cache, NeighborSweep.Cache) makes warm re-runs skip
-// simulation entirely while producing byte-identical reports; CreditInfo
-// and NeighborInfo are JSON-round-trippable (DecodeCreditInfo,
-// DecodeNeighborInfo) so cached cells survive persistence.
+// simulation entirely while producing byte-identical reports. Inspect
+// captures (CreditInfo, NeighborInfo, KVMixInfo) are stored JSON-encoded
+// in every cell, fresh or cached, and the folds read them with
+// expgrid.DecodeInfo, so a persisted cache serves cells exactly as a live
+// run does.
 //
 // The isolation comparison (IsolationComparison, RunIsolationComparison)
 // reruns the neighbor grid once per backend QoS scheduling policy (fifo,

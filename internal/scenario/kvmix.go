@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -173,8 +172,9 @@ func (s KVMixSweep) BuildKV(c expgrid.Cell) (*sim.Engine, []kv.MixTenant) {
 
 // KVMixInfo is the post-run capture of InspectKVMix: the shared backend's
 // pooled cleaning debt and how many tenants' flow limiters engaged — the
-// Obs#2 coupling driven by KV background work instead of raw writes. It
-// is JSON-round-trippable so cached cells survive persistence.
+// Obs#2 coupling driven by KV background work instead of raw writes.
+// Folds read it back with expgrid.DecodeInfo[KVMixInfo]; its JSON names
+// are the persisted cache's.
 type KVMixInfo struct {
 	SharedDebt int64 `json:"shared_debt"` // pooled debt at end of run
 	Throttled  int   `json:"throttled"`   // tenants whose limiter engaged
@@ -198,16 +198,6 @@ func InspectKVMix(tenants []kv.MixTenant, _ expgrid.Cell) any {
 		}
 	}
 	return info
-}
-
-// DecodeKVMixInfo is the expgrid DecodeInfo hook matching InspectKVMix:
-// it rehydrates a persisted KVMixInfo from its JSON form.
-func DecodeKVMixInfo(raw []byte) (any, error) {
-	var info KVMixInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
-		return nil, err
-	}
-	return info, nil
 }
 
 // KVMixCell is one measured point of the suite, aggregated over the
@@ -275,7 +265,11 @@ func RunKVMix(ctx context.Context, s KVMixSweep) (*KVMixReport, error) {
 		ReadFracPct:  s.ReadFracPct,
 	}
 	for _, r := range results {
-		rep.Cells = append(rep.Cells, foldKVMixCell(r))
+		cell, err := foldKVMixCell(r)
+		if err != nil {
+			return nil, err
+		}
+		rep.Cells = append(rep.Cells, cell)
 		if r.Cached {
 			rep.CachedCells++
 		}
@@ -304,17 +298,19 @@ func (s KVMixSweep) sweep() expgrid.Sweep {
 			Build:      s.BuildKV,
 			Inspect:    InspectKVMix,
 		},
-		Cache:      s.Cache,
-		DecodeInfo: DecodeKVMixInfo,
-		Seed:       s.Seed,
+		Cache: s.Cache,
+		Seed:  s.Seed,
 		Label: fmt.Sprintf("%s|t%d@%g/%dops/rf%d/%s/ks%d/mb%d", s.Label,
 			s.Tenants, s.RatePerSec, s.OpsPerTenant, s.ReadFracPct,
 			s.Arrival, s.KeySpace, s.MemtableBytes),
 	}
 }
 
-func foldKVMixCell(r expgrid.CellResult) KVMixCell {
-	info := r.Info.(KVMixInfo)
+func foldKVMixCell(r expgrid.CellResult) (KVMixCell, error) {
+	info, err := expgrid.DecodeInfo[KVMixInfo](r)
+	if err != nil {
+		return KVMixCell{}, err
+	}
 	cell := KVMixCell{
 		Tier:      r.DeviceName,
 		Engine:    r.KVEngine,
@@ -356,7 +352,7 @@ func foldKVMixCell(r expgrid.CellResult) KVMixCell {
 	if lookups := agg.CacheHits + agg.CacheMisses; lookups > 0 {
 		cell.CacheHitPct = 100 * float64(agg.CacheHits) / float64(lookups)
 	}
-	return cell
+	return cell, nil
 }
 
 // FormatKVMix writes the report as an aligned table: one row per cell

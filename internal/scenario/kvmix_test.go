@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -132,18 +133,26 @@ func TestRunKVMixValidation(t *testing.T) {
 	}
 }
 
-// TestKVMixInfoRoundTrip checks the shared-backend inspection survives
-// the persisted-cache JSON cycle.
+// TestKVMixInfoRoundTrip checks the shared-backend inspection encodes
+// under its persisted-cache names and decodes back through
+// expgrid.DecodeInfo.
 func TestKVMixInfoRoundTrip(t *testing.T) {
 	want := KVMixInfo{SharedDebt: 123456, Throttled: 2}
-	got, err := DecodeKVMixInfo([]byte(`{"shared_debt":123456,"throttled":2}`))
+	const wire = `{"shared_debt":123456,"throttled":2}`
+	if raw, err := json.Marshal(want); err != nil || string(raw) != wire {
+		t.Fatalf("encoded %s (%v), want %s", raw, err, wire)
+	}
+	cell := func(raw string) expgrid.CellResult {
+		return expgrid.CellResult{Measurement: expgrid.Measurement{Info: json.RawMessage(raw)}}
+	}
+	got, err := expgrid.DecodeInfo[KVMixInfo](cell(wire))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
-	if _, err := DecodeKVMixInfo([]byte("{")); err == nil {
+	if _, err := expgrid.DecodeInfo[KVMixInfo](cell("{")); err == nil {
 		t.Fatal("malformed info accepted")
 	}
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -200,8 +199,8 @@ func (s NeighborSweep) AttachTenants(be *essd.Backend, rng *sim.RNG, c expgrid.C
 
 // NeighborInfo is the post-run capture of InspectNeighbors: the victim's
 // throttle state and the shared backend's pooled debt, attributed per
-// tenant. It is JSON-round-trippable so cached cells survive persistence
-// (see DecodeNeighborInfo).
+// tenant. Folds read it back with expgrid.DecodeInfo[NeighborInfo]; its
+// JSON names are the persisted cache's.
 type NeighborInfo struct {
 	Throttled    bool         `json:"throttled"`
 	ThrottledAt  sim.Time     `json:"throttled_at"` // -1 when never engaged
@@ -238,17 +237,6 @@ func InspectNeighbors(tenants []workload.Tenant, _ expgrid.Cell) any {
 		}
 	}
 	return info
-}
-
-// DecodeNeighborInfo is the expgrid DecodeInfo hook matching
-// InspectNeighbors: it rehydrates a persisted NeighborInfo from its JSON
-// form.
-func DecodeNeighborInfo(raw []byte) (any, error) {
-	var info NeighborInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
-		return nil, err
-	}
-	return info, nil
 }
 
 // NeighborCell is one measured point of the suite.
@@ -352,7 +340,11 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 		Isolation:        s.Isolation,
 	}
 	for _, r := range results {
-		rep.Cells = append(rep.Cells, foldNeighborCell(r, s))
+		cell, err := foldNeighborCell(r, s)
+		if err != nil {
+			return nil, err
+		}
+		rep.Cells = append(rep.Cells, cell)
 		if r.Cached {
 			rep.CachedCells++
 		}
@@ -362,7 +354,7 @@ func RunNeighbor(ctx context.Context, s NeighborSweep) (*NeighborReport, error) 
 		vcfg := profiles.NeighborVolumeConfig("victim")
 		thr := vcfg.SpareFrac * float64(vcfg.Capacity)
 		for i, r := range results {
-			rep.Explanations = append(rep.Explanations, neighborExplain(caps[i], r, thr))
+			rep.Explanations = append(rep.Explanations, neighborExplain(caps[i], r, rep.Cells[i], thr))
 		}
 	}
 	// Inflation columns compare each cell's victim tail against the
@@ -405,9 +397,8 @@ func (s NeighborSweep) sweep() expgrid.Sweep {
 			Build:           s.BuildTenants,
 			Inspect:         InspectNeighbors,
 		},
-		Cache:      s.Cache,
-		DecodeInfo: DecodeNeighborInfo,
-		Seed:       s.Seed,
+		Cache: s.Cache,
+		Seed:  s.Seed,
 		// The Build hook's inputs (victim shape, aggressor shape) are
 		// invisible to the expgrid fingerprint, which only hashes the
 		// sweep's and its kind's settings. Fold them into the label so two
@@ -430,9 +421,12 @@ func (s NeighborSweep) sweep() expgrid.Sweep {
 	return sw
 }
 
-func foldNeighborCell(r expgrid.CellResult, s NeighborSweep) NeighborCell {
+func foldNeighborCell(r expgrid.CellResult, s NeighborSweep) (NeighborCell, error) {
 	victim := r.Mix[0]
-	info := r.Info.(NeighborInfo)
+	info, err := expgrid.DecodeInfo[NeighborInfo](r)
+	if err != nil {
+		return NeighborCell{}, err
+	}
 	cell := NeighborCell{
 		Aggressors:        r.Aggressors,
 		AggrRatePerSec:    r.RatePerSec,
@@ -465,7 +459,7 @@ func foldNeighborCell(r expgrid.CellResult, s NeighborSweep) NeighborCell {
 		cell.AggrOps += t.Open.Ops
 		cell.AggrBytes += t.Open.Bytes
 	}
-	return cell
+	return cell, nil
 }
 
 // FormatNeighbor writes the report as an aligned table: one row per cell

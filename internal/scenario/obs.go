@@ -17,23 +17,21 @@ func neighborCellLabel(c expgrid.Cell) string {
 	return fmt.Sprintf("a%d-r%g-w%d", c.Aggressors, c.RatePerSec, c.WriteRatioPct)
 }
 
-// neighborExplain builds one cell's attribution input from its capture and
-// measured result: the victim's windowed tail timeline, the throttle onset
-// InspectNeighbors recorded, the pooled-debt threshold the limiter engages
-// at, and the probe series naming conventions of essd/cluster probes.
-func neighborExplain(cap *obs.Capture, r expgrid.CellResult, debtThreshold float64) *obs.Explanation {
+// neighborExplain builds one cell's attribution input from its capture,
+// measured result, and folded cell: the victim's windowed tail timeline,
+// the throttle onset InspectNeighbors recorded, the pooled-debt threshold
+// the limiter engages at, and the probe series naming conventions of
+// essd/cluster probes.
+func neighborExplain(cap *obs.Capture, r expgrid.CellResult, cell NeighborCell, debtThreshold float64) *obs.Explanation {
 	in := obs.ExplainInput{
 		Cell:              cap.Label,
 		Victim:            "victim",
-		ThrottleOnset:     -1,
+		ThrottleOnset:     sim.Time(cell.ThrottleOnset),
 		CreditExhaustedAt: -1,
 		DebtThreshold:     debtThreshold,
 		Probes:            cap.Prober,
 		PooledDebtSeries:  "cluster/debt_bytes",
 		VictimBytesSeries: "victim/net-up-bytes",
-	}
-	if info, ok := r.Info.(NeighborInfo); ok && info.Throttled {
-		in.ThrottleOnset = info.ThrottledAt
 	}
 	for i := 0; i < r.Aggressors; i++ {
 		in.AggrBytesSeries = append(in.AggrBytesSeries,

@@ -337,7 +337,10 @@ func (s Search) probe(ctx context.Context, rate float64) (*Probe, string, scenar
 	}
 	r := res[0]
 	open := r.Open
-	info := r.Info.(scenario.CreditInfo)
+	info, err := expgrid.DecodeInfo[scenario.CreditInfo](r)
+	if err != nil {
+		return nil, "", info, err
+	}
 	p := &Probe{
 		RatePerSec:     rate,
 		OfferedBps:     rate * float64(s.BlockSize),
@@ -400,13 +403,12 @@ func (s Search) probeSweep(rate float64) expgrid.Sweep {
 		probe.WriteRatiosPct = []int{s.WriteRatioPct}
 	}
 	return expgrid.Sweep{
-		Devices:    []expgrid.NamedFactory{s.Device},
-		Kind:       probe,
-		Cache:      s.Cache,
-		DecodeInfo: scenario.DecodeCreditInfo,
-		Seed:       s.Seed,
-		Label:      s.Label,
-		Variant:    s.Variant,
+		Devices: []expgrid.NamedFactory{s.Device},
+		Kind:    probe,
+		Cache:   s.Cache,
+		Seed:    s.Seed,
+		Label:   s.Label,
+		Variant: s.Variant,
 	}
 }
 
