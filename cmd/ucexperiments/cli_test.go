@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"essdsim/internal/harness"
 )
 
 // runMainEnv makes the test binary run main() instead of the tests, so the
@@ -67,8 +69,8 @@ const msrAggr = "128166372003061629,src1,0,Write,8192,262144,1331\n" +
 // TestCLIGoldenOutputs pins ucexperiments' stdout byte for byte (against
 // testdata/*.golden) and its output files by sha256: the burst suite with
 // -out CSVs, the KV suite cold then cache-warm, the neighbor suite with
-// both observability planes and the attribution report, and the neighbor
-// suite with trace-fitted aggressors.
+// both observability planes and the attribution report, the neighbor
+// suite with trace-fitted aggressors, and the quick Figure 3 pass.
 func TestCLIGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-runs the CLI end to end; covered by the non-short runs")
@@ -98,6 +100,7 @@ func TestCLIGoldenOutputs(t *testing.T) {
 			}},
 		{"neighbor-aggr-trace", []run{{"neighbor-aggr-trace",
 			"-exp neighbor -quick -workers 2 -aggr-trace msr-aggr.csv -aggr-trace-format msr"}}, nil},
+		{"fig3-quick", []run{{"fig3-quick", "-exp fig3 -quick -workers 2"}}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -123,6 +126,25 @@ func TestCLIGoldenOutputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFig3HeaderMultiple: the Figure 3 header names the volume the run
+// actually writes, 1.5x capacity under -quick and the paper's 3x
+// otherwise. (The quick header is also pinned by the fig3-quick golden.)
+func TestFig3HeaderMultiple(t *testing.T) {
+	for _, c := range []struct {
+		quick bool
+		want  string
+	}{
+		{true, "Figure 3 — Runtime throughput, random write of 1.5x capacity\n"},
+		{false, "Figure 3 — Runtime throughput, random write of 3x capacity\n"},
+	} {
+		var buf bytes.Buffer
+		harness.FormatFig3(&buf, fig3CapMultiple(c.quick), nil)
+		if got := buf.String(); got != c.want {
+			t.Errorf("quick=%v: header %q, want %q", c.quick, got, c.want)
+		}
 	}
 }
 

@@ -109,6 +109,15 @@ func factory(name string, seed uint64) harness.Factory {
 	}
 }
 
+// fig3CapMultiple is how many device capacities Figure 3 writes: the
+// paper's 3x, or 1.5x for a -quick pass.
+func fig3CapMultiple(quick bool) float64 {
+	if quick {
+		return 1.5
+	}
+	return 3
+}
+
 func main() {
 	fl := cli.Register("ucexperiments", 7)
 	var (
@@ -202,16 +211,13 @@ func main() {
 	}
 	if want("fig3") {
 		ran = true
-		mult := 3.0
-		if *quick {
-			mult = 1.5
-		}
+		mult := fig3CapMultiple(*quick)
 		results := harness.RunSustainedWrites([]expgrid.NamedFactory{
 			{Name: "essd1", New: essd1},
 			{Name: "essd2", New: essd2},
 			{Name: "ssd", New: ssd},
 		}, mult, opts)
-		harness.FormatFig3(os.Stdout, results)
+		harness.FormatFig3(os.Stdout, mult, results)
 		fmt.Println()
 		dump("fig3.csv", func(w io.Writer) error { return harness.WriteFig3CSV(w, results) })
 	}

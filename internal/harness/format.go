@@ -108,9 +108,10 @@ func compactDur(d sim.Duration) string {
 }
 
 // FormatFig3 writes the Figure 3 sustained-write summary and a coarse
-// throughput timeline for each device.
-func FormatFig3(w io.Writer, results []*SustainedResult) {
-	fmt.Fprintln(w, "Figure 3 — Runtime throughput, random write of 3x capacity")
+// throughput timeline for each device; capMultiple is the volume the
+// results wrote, in device capacities (RunSustainedWrites' argument).
+func FormatFig3(w io.Writer, capMultiple float64, results []*SustainedResult) {
+	fmt.Fprintf(w, "Figure 3 — Runtime throughput, random write of %gx capacity\n", capMultiple)
 	for _, r := range results {
 		knee := "none"
 		if r.KneeCapFrac >= 0 {

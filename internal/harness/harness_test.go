@@ -280,8 +280,8 @@ func TestFormatFig4AndFig5(t *testing.T) {
 func TestFormatFig3(t *testing.T) {
 	res := RunSustainedWrite(ssdFactory, 0.2, quickOpts)
 	var buf bytes.Buffer
-	FormatFig3(&buf, []*SustainedResult{res})
-	if !strings.Contains(buf.String(), "Figure 3") ||
+	FormatFig3(&buf, 0.2, []*SustainedResult{res})
+	if !strings.Contains(buf.String(), "random write of 0.2x capacity") ||
 		!strings.Contains(buf.String(), "timeline") {
 		t.Errorf("Fig3 output malformed:\n%s", buf.String())
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"essdsim/internal/sim"
 )
@@ -33,6 +34,10 @@ func NewZipf(n int64, theta float64) *Zipf {
 		theta = 0.999
 	}
 	z := &Zipf{n: n, theta: theta}
+	if theta == 0 {
+		// nextRank draws uniformly before it reads any constant below.
+		return z
+	}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
@@ -40,9 +45,47 @@ func NewZipf(n int64, theta float64) *Zipf {
 	return z
 }
 
+// zetaKey is one normalizer's (n, theta) after NewZipf's clamping. theta
+// is keyed by its bits so that a NaN, which never equals itself, still
+// finds its entry instead of adding a new one on every build.
+type zetaKey struct {
+	n     int64
+	theta uint64
+}
+
+// zetaMemo holds every normalizer this process has summed. A KV mix
+// builds one generator per tenant per cell from a handful of (n, theta)
+// pairs, and each sum over 2^18 keys costs far more than the cell's
+// draws, so each pair is summed once per process. The sum is
+// deterministic: two goroutines that miss on the same key at once store
+// the same float64, so the lock guards only the map, never the sum.
+// Entries are 24 bytes and a run has a handful of distinct pairs, so
+// nothing is ever evicted.
+var zetaMemo = struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}{m: map[zetaKey]float64{}}
+
+// zeta returns ζ(n, theta) = Σ_{i=1..n} i^-theta (sumZeta), summed on
+// first use of (n, theta) and looked up afterwards.
 func zeta(n int64, theta float64) float64 {
+	k := zetaKey{n, math.Float64bits(theta)}
+	zetaMemo.Lock()
+	v, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return v
+	}
+	v = sumZeta(n, theta)
+	zetaMemo.Lock()
+	zetaMemo.m[k] = v
+	zetaMemo.Unlock()
+	return v
+}
+
+func sumZeta(n int64, theta float64) float64 {
 	// Direct summation is exact and fast enough for simulator-scale n up
-	// to ~10M when constructed once per run.
+	// to ~10M when it runs once per (n, theta) per process.
 	sum := 0.0
 	limit := n
 	const cap = 1 << 22

@@ -107,10 +107,22 @@ func (r *MixResult) OpsPerSec() float64 {
 // a pure function of its spec — independent of how other tenants' events
 // interleave on the shared engine.
 type mixState struct {
+	eng         *sim.Engine
+	kv          Engine
+	valueSize   int64
 	res         *MixResult
 	start       sim.Time
 	lastDone    sim.Time
 	outstanding int
+}
+
+// mixOp is one drawn arrival. Every arrival is scheduled before the run,
+// so a tenant's schedule is one slice of these, each the argument of an
+// AtCall to the tenant's issue method, not one closure per arrival.
+type mixOp struct {
+	issueAt sim.Time
+	key     uint64
+	isGet   bool
 }
 
 // startMix validates the spec (panicking on harness programming errors)
@@ -127,6 +139,9 @@ func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 	rng := sim.NewRNG(spec.Seed^0x6b1d, spec.Seed+0x29)
 	zipf := workload.NewZipf(int64(spec.KeySpace), spec.ZipfTheta)
 	st := &mixState{
+		eng:       eng,
+		kv:        t.Engine,
+		valueSize: spec.ValueSize,
 		res: &MixResult{
 			Name:   t.Name,
 			Engine: t.Engine.Name(),
@@ -141,8 +156,10 @@ func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 	if perSecond < 1 {
 		perSecond = 1
 	}
+	ops := make([]mixOp, spec.Ops)
+	issue := st.issue // bound once: a method value per AtCall would allocate
 	var at sim.Duration
-	for i := uint64(0); i < spec.Ops; i++ {
+	for i := range ops {
 		switch spec.Arrival {
 		case workload.Uniform:
 			at = sim.Duration(i) * gap
@@ -151,37 +168,42 @@ func startMix(eng *sim.Engine, t MixTenant) func() *MixResult {
 				at += sim.Duration(-math.Log(1-rng.Float64()) * float64(gap))
 			}
 		case workload.Bursty:
-			at = sim.Duration(i/uint64(perSecond)) * sim.Second
+			at = sim.Duration(i/perSecond) * sim.Second
 		}
-		key := uint64(zipf.Next(rng))
-		isGet := rng.Float64() < spec.ReadFrac
-		issueAt := st.start.Add(at)
-		eng.At(issueAt, func() {
-			st.outstanding++
-			if st.outstanding > st.res.MaxOutstanding {
-				st.res.MaxOutstanding = st.outstanding
-			}
-			done := func() {
-				st.outstanding--
-				now := eng.Now()
-				st.lastDone = now
-				st.res.Lat.Record(now.Sub(issueAt))
-				st.res.Ops++
-			}
-			if isGet {
-				st.res.Gets++
-				t.Engine.Get(key, done)
-			} else {
-				st.res.Puts++
-				st.res.UserBytes += spec.ValueSize
-				t.Engine.Put(key, spec.ValueSize, done)
-			}
-		})
+		op := &ops[i]
+		op.key = uint64(zipf.Next(rng))
+		op.isGet = rng.Float64() < spec.ReadFrac
+		op.issueAt = st.start.Add(at)
+		eng.AtCall(op.issueAt, issue, op)
 	}
 	return func() *MixResult {
 		st.res.Elapsed = st.lastDone.Sub(st.start)
 		st.res.Stats = t.Engine.Stats()
 		return st.res
+	}
+}
+
+// issue submits one scheduled arrival (a *mixOp) to the tenant's engine.
+func (st *mixState) issue(a any) {
+	op := a.(*mixOp)
+	st.outstanding++
+	if st.outstanding > st.res.MaxOutstanding {
+		st.res.MaxOutstanding = st.outstanding
+	}
+	done := func() {
+		st.outstanding--
+		now := st.eng.Now()
+		st.lastDone = now
+		st.res.Lat.Record(now.Sub(op.issueAt))
+		st.res.Ops++
+	}
+	if op.isGet {
+		st.res.Gets++
+		st.kv.Get(op.key, done)
+	} else {
+		st.res.Puts++
+		st.res.UserBytes += st.valueSize
+		st.kv.Put(op.key, st.valueSize, done)
 	}
 }
 

@@ -1,7 +1,9 @@
 package kv
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -136,14 +138,35 @@ func TestRunMixReadFracExtremes(t *testing.T) {
 	}
 }
 
+// TestRunMixArrivals drives a zipfian and a uniform-key tenant under each
+// arrival process and pins the results' JSON by sha256, so a change to
+// how arrivals are drawn or scheduled cannot move any of them unseen.
 func TestRunMixArrivals(t *testing.T) {
-	for _, arr := range []workload.Arrival{workload.Uniform, workload.Poisson, workload.Bursty} {
+	for _, c := range []struct {
+		arr  workload.Arrival
+		want string
+	}{
+		{workload.Uniform, "e64c9f85fa6ca3a1cd5538a86e5fe37039aa460d793184dfe9a8dc79c00cbbaa"},
+		{workload.Poisson, "33036a9f8ff4cb5bab27433a417d97ef905181fd5598965420e2647ad46f1991"},
+		{workload.Bursty, "6b13eec22c330ab6912c0363ce50caf3509b4f72794792a8ef5ba90fe88ac0c4"},
+	} {
 		eng := sim.NewEngine()
 		spec := baseMixSpec(41)
-		spec.Arrival = arr
-		res := RunMix(eng, []MixTenant{mixTenantOn(t, eng, "t", spec)})
-		if res[0].Ops != spec.Ops {
-			t.Errorf("%s: %d of %d ops acked", arr, res[0].Ops, spec.Ops)
+		spec.Arrival = c.arr
+		uniform := spec
+		uniform.Seed, uniform.ZipfTheta = 42, 0
+		res := RunMix(eng, []MixTenant{mixTenantOn(t, eng, "t", spec), mixTenantOn(t, eng, "u", uniform)})
+		for _, r := range res {
+			if r.Ops != spec.Ops {
+				t.Errorf("%s/%s: %d of %d ops acked", c.arr, r.Name, r.Ops, spec.Ops)
+			}
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != c.want {
+			t.Errorf("%s: results sha256 %s, pinned %s", c.arr, got, c.want)
 		}
 	}
 }
